@@ -432,10 +432,6 @@ class CubeEngine:
                 self.store.drop_batch(spec.table_name, old.batch_id)
         return segment
 
-    def latest_segment(self, spec: CubeSpec) -> Segment | None:
-        segments = self.store.segments(spec.table_name)
-        return segments[-1] if segments else None
-
 
 def latest_cube_segment(store: SegmentStore, spec: CubeSpec) -> Segment | None:
     """Newest committed version of a cube, or None when never built."""

@@ -33,17 +33,14 @@ from pathlib import Path
 
 from .errors import ValidationError
 from .schema import (
-    CODE,
     DIMENSION_KEY,
+    KEY_SEPARATOR,
     NATURAL_KEY,
     REFERENCE,
-    RESERVED_ROLLUP_TEXT,
     TENANT_KEY,
-    TEXT,
-    INTEGER,
-    KEY_SEPARATOR,
     TableDef,
     TenantKey,
+    upload_rules,
 )
 from .store import Segment, SegmentStore
 
@@ -200,28 +197,6 @@ class ExtractResult:
     line_count: int
 
 
-@lru_cache(maxsize=None)
-def _shape_plan(table: TableDef):
-    """Per-table compiled checks: arity, numeric fields, key indexes, and
-    text key/code fields that must not carry the reserved roll-up text."""
-    columns = table.upload_columns
-    numeric = []
-    keys = []
-    reserved = []
-    idx = 0
-    for attr in table.attributes:
-        if attr.kind in (TENANT_KEY, DIMENSION_KEY):
-            continue
-        if attr.value_class != TEXT:
-            numeric.append((idx, attr.value_class == INTEGER, columns[idx]))
-        elif attr.kind in (NATURAL_KEY, REFERENCE, CODE):
-            reserved.append((idx, columns[idx]))
-        if attr.kind in (NATURAL_KEY, REFERENCE):
-            keys.append(idx)
-        idx += 1
-    return len(columns), tuple(numeric), tuple(keys), tuple(reserved)
-
-
 # Transform instructions: how each storage column is produced from an upload
 # row.  "copy" passes the field through, "qualify" prefixes it with the
 # tenant key, "tenant" emits the tenant key itself.
@@ -229,38 +204,33 @@ _COPY, _QUALIFY, _TENANT = 0, 1, 2
 
 
 @lru_cache(maxsize=None)
-def _transform_plan(table: TableDef):
-    """(ops, key checks) mapping upload fields to storage columns."""
+def _transform_plan(table: TableDef) -> tuple[tuple[int, int], ...]:
+    """(op, upload field index) per storage column."""
     upload_idx = {c: i for i, c in enumerate(table.upload_columns)}
     ops: list[tuple[int, int]] = []
-    key_checks: list[tuple[int, str]] = []
     natural = table.attrs_of_kind(NATURAL_KEY)
     for attr in table.attributes:
         if attr.kind == TENANT_KEY:
             ops.append((_TENANT, 0))
         elif attr.kind == DIMENSION_KEY:
             ops.append((_QUALIFY, upload_idx[natural[0].name]))
-        elif attr.kind == NATURAL_KEY:
-            ops.append((_COPY, upload_idx[attr.name]))
-            key_checks.append((upload_idx[attr.name], attr.name))
         elif attr.kind == REFERENCE:
             raw = attr.raw_name or ""
             ops.append((_COPY, upload_idx[raw]))
             ops.append((_QUALIFY, upload_idx[raw]))
-            key_checks.append((upload_idx[raw], raw))
         else:
             ops.append((_COPY, upload_idx[attr.name]))
-    return tuple(ops), tuple(key_checks)
+    return tuple(ops)
 
 
-def _key_context(fields: list[str], key_idxs) -> str | None:
-    for i in key_idxs:
-        if i < len(fields) and fields[i]:
-            return fields[i]
-    return None
+def _data_lines(split: SplitRange, table: TableDef) -> tuple[list[str], int, EtlError | None]:
+    """Read one split's data lines, past the upload header on the first split.
 
-
-def _split_lines(split: SplitRange) -> tuple[list[str], EtlError | None]:
+    Returns (lines, line number before the first of them, whole-split
+    error).  Bad encoding, an empty upload or a header mismatch void the
+    split: no lines are returned, and the line number is the count of
+    physical lines the split's numbering must still account for.
+    """
     with open(split.path, "rb") as fh:
         fh.seek(split.offset)
         data = fh.read(split.length)
@@ -268,11 +238,20 @@ def _split_lines(split: SplitRange) -> tuple[list[str], EtlError | None]:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
-        return [], EtlError(line, None, "encoding: not valid UTF-8")
+        return [], 0, EtlError(line, None, "encoding: not valid UTF-8")
     lines = text.split("\n")
-    if lines and lines[-1] == "":
+    if lines[-1] == "":
         lines.pop()
-    return lines, None
+    if split.index != 0:
+        return lines, 0, None
+    if not lines:
+        return [], 0, EtlError(1, None, "header-mismatch: empty upload")
+    header = lines[0][:-1] if lines[0].endswith("\r") else lines[0]
+    if header != table.upload_header:
+        return [], len(lines), EtlError(
+            1, None, f"header-mismatch: expected {table.upload_header!r}"
+        )
+    return lines[1:], 1, None
 
 
 def extract(split: SplitRange, table: TableDef, tenant: TenantKey) -> ExtractResult:
@@ -281,60 +260,20 @@ def extract(split: SplitRange, table: TableDef, tenant: TenantKey) -> ExtractRes
     The first split must begin with the table's canonical upload header; a
     mismatch is a whole-batch structural error.  Valid lines become records,
     invalid ones become report entries; both carry split-local line numbers
-    (see ExtractResult).
+    (see ExtractResult).  The row rules are schema.upload_rules' shape check.
     """
-    arity, numeric, key_idxs, reserved = _shape_plan(table)
-    lines, bad_encoding = _split_lines(split)
-    if bad_encoding is not None:
-        return ExtractResult([], [bad_encoding], len(lines))
+    shape = upload_rules(table).shape
+    lines, line_no, fault = _data_lines(split, table)
     records: list[Record] = []
-    errors: list[EtlError] = []
-    start = 0
-    if split.index == 0:
-        if not lines:
-            return ExtractResult([], [EtlError(1, None, "header-mismatch: empty upload")], 0)
-        header = lines[0][:-1] if lines[0].endswith("\r") else lines[0]
-        if header != table.upload_header:
-            return ExtractResult(
-                [],
-                [EtlError(1, None, f"header-mismatch: expected {table.upload_header!r}")],
-                len(lines),
-            )
-        start = 1
-    line_no = start
-    for raw in lines[start:]:
+    errors: list[EtlError] = [fault] if fault else []
+    for raw in lines:
         line_no += 1
         fields = raw[:-1].split(",") if raw.endswith("\r") else raw.split(",")
-        if len(fields) != arity:
-            errors.append(
-                EtlError(line_no, None, f"arity: expected {arity} fields, found {len(fields)}")
-            )
-            continue
-        ok = True
-        for idx, is_int, name in numeric:
-            value = fields[idx]
-            try:
-                parsed = int(value) if is_int else float(value)
-            except ValueError:
-                ok = False
-            else:
-                if not is_int and parsed - parsed != 0.0:  # rejects nan and inf
-                    ok = False
-            if not ok:
-                errors.append(
-                    EtlError(line_no, _key_context(fields, key_idxs), f"not-numeric:{name}")
-                )
-                break
-        if ok:
-            for idx, name in reserved:
-                if fields[idx] == RESERVED_ROLLUP_TEXT:
-                    ok = False
-                    errors.append(
-                        EtlError(line_no, _key_context(fields, key_idxs), f"reserved-value:{name}")
-                    )
-                    break
-        if ok:
+        bad = shape(fields)
+        if bad is None:
             records.append(Record(line_no, fields))
+        else:
+            errors.append(EtlError(line_no, bad[1], bad[0]))
     return ExtractResult(records, errors, line_no)
 
 
@@ -347,23 +286,20 @@ def transform(
     computed as tenant + separator + raw value, with the raw value retained
     beside it; the fact's tenant-key column is set from the session tenant.
     Measures and codes pass through untouched.  Rows with an empty key field
-    become error entries instead of output records.
+    (schema.upload_rules' empty_key check) become error entries instead of
+    output records.
     """
-    ops, key_checks = _transform_plan(table)
+    ops = _transform_plan(table)
+    empty_key = upload_rules(table).empty_key
     prefix = tenant.value + KEY_SEPARATOR
     out: list[Record] = []
     errors: list[EtlError] = []
     tenant_value = tenant.value
     for rec in records:
         fields = rec.fields
-        bad = None
-        for idx, name in key_checks:
-            if not fields[idx]:
-                bad = name
-                break
+        bad = empty_key(fields)
         if bad is not None:
-            context = _key_context(fields, [i for i, _ in key_checks])
-            errors.append(EtlError(rec.line_number, context, f"empty-key:{bad}"))
+            errors.append(EtlError(rec.line_number, bad[1], bad[0]))
             continue
         out.append(
             Record(
@@ -385,11 +321,10 @@ def _row_renderer(table: TableDef, tenant: TenantKey):
     Returns (fmt, getter) such that fmt % getter(fields) is the stored CSV
     line; a %-format plus one itemgetter keeps the per-row cost at C speed.
     """
-    ops, _ = _transform_plan(table)
     prefix = tenant.value + KEY_SEPARATOR
     parts: list[str] = []
     idxs: list[int] = []
-    for op, arg in ops:
+    for op, arg in _transform_plan(table):
         if op == _TENANT:
             parts.append(tenant.value.replace("%", "%%"))
         elif op == _QUALIFY:
@@ -421,68 +356,25 @@ def _process_split(
     """Worker body: extract + transform one split and write its intermediate
     file.  Busy time spans the whole body, queue wait excluded.
 
-    This is a fused fast path over the same compiled plans extract() and
-    transform() use; test suites assert it emits byte-identical output.
+    This is a fused fast path over the same row rules and transform plan
+    extract() and transform() use; test suites assert it emits
+    byte-identical output.
     """
     t0 = time.perf_counter()
-    arity, numeric, key_idxs, reserved = _shape_plan(table)
-    _, key_checks = _transform_plan(table)
+    rules = upload_rules(table)
+    shape, empty_key = rules.shape, rules.empty_key
     fmt, getter = _row_renderer(table, tenant)
-    lines, bad_encoding = _split_lines(split)
-    errors: list[EtlError] = []
+    lines, line_no, fault = _data_lines(split, table)
+    errors: list[EtlError] = [fault] if fault else []
     out_lines: list[str] = []
-    start = 0
-    line_no = 0
-    if bad_encoding is not None:
-        errors.append(bad_encoding)
-        lines = []
-    elif split.index == 0:
-        if not lines:
-            errors.append(EtlError(1, None, "header-mismatch: empty upload"))
-        else:
-            header = lines[0][:-1] if lines[0].endswith("\r") else lines[0]
-            if header != table.upload_header:
-                errors.append(
-                    EtlError(1, None, f"header-mismatch: expected {table.upload_header!r}")
-                )
-                line_no = len(lines)
-                lines = []
-            else:
-                start = 1
-                line_no = 1
-    for raw in lines[start:]:
+    for raw in lines:
         line_no += 1
         fields = raw[:-1].split(",") if raw.endswith("\r") else raw.split(",")
-        if len(fields) != arity:
-            errors.append(
-                EtlError(line_no, None, f"arity: expected {arity} fields, found {len(fields)}")
-            )
-            continue
-        bad_col = None
-        for idx, is_int, name in numeric:
-            value = fields[idx]
-            try:
-                parsed = int(value) if is_int else float(value)
-            except ValueError:
-                bad_col = f"not-numeric:{name}"
-                break
-            if not is_int and parsed - parsed != 0.0:
-                bad_col = f"not-numeric:{name}"
-                break
-        if bad_col is None:
-            for idx, name in reserved:
-                if fields[idx] == RESERVED_ROLLUP_TEXT:
-                    bad_col = f"reserved-value:{name}"
-                    break
-        if bad_col is None:
-            for idx, name in key_checks:
-                if not fields[idx]:
-                    bad_col = f"empty-key:{name}"
-                    break
-        if bad_col is not None:
-            errors.append(EtlError(line_no, _key_context(fields, key_idxs), bad_col))
-            continue
-        out_lines.append(fmt % getter(fields))
+        bad = shape(fields) or empty_key(fields)
+        if bad is None:
+            out_lines.append(fmt % getter(fields))
+        else:
+            errors.append(EtlError(line_no, bad[1], bad[0]))
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         if out_lines:
             fh.write("\n".join(out_lines))

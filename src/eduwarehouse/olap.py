@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from .errors import StorageError, ValidationError
 from .etl import SplitConfig, plan_splits, CASE2
 from .schema import RESERVED_ROLLUP_TEXT, TenantKey
-from .store import SegmentStore
-from .cube import CubeRow, CubeSpec, builtin_cube_specs, parse_cube_row
+from .store import Segment, SegmentStore
+from .cube import CubeRow, CubeSpec, builtin_cube_specs, latest_cube_segment, parse_cube_row
 
 logger = logging.getLogger(__name__)
 
@@ -159,6 +159,12 @@ class QueryEngine:
     def query_cube_timed(
         self, ctx: TenantContext, cube: str, masks, filters=(), scan_workers: int = 1
     ) -> tuple[list[CubeRow], QueryTiming]:
+        rows, timing, _ = self._scan(ctx, cube, masks, filters, scan_workers)
+        return rows, timing
+
+    def _scan(
+        self, ctx: TenantContext, cube: str, masks, filters, scan_workers: int
+    ) -> tuple[list[CubeRow], QueryTiming, Segment | None]:
         """Select the tenant's cube rows at the given grouping masks.
 
         A filter (attr, value) matches rows where the attribute is present
@@ -168,7 +174,9 @@ class QueryEngine:
 
         The scan reads the newest cube segment in ``scan_workers``
         record-aligned chunks; per-chunk busy times feed the same
-        effective/cumulative model the ETL pipeline reports.
+        effective/cumulative model the ETL pipeline reports.  The segment
+        read is returned with the rows (None when no scan was needed), so
+        callers report the version they actually read.
         """
         t_start = time.perf_counter()
         spec = self._spec(cube)
@@ -192,7 +200,7 @@ class QueryEngine:
                     "filter on %s which is rolled up in every requested mask; empty result",
                     attr,
                 )
-                return [], QueryTiming(0.0, 0.0, scan_workers)
+                return [], QueryTiming(0.0, 0.0, scan_workers), None
 
         tenant = ctx.university_key.value
         n_mand = len(spec.mandatory_keys)
@@ -217,15 +225,14 @@ class QueryEngine:
             value_col = 1 + n_mand + 2 * bit
             checks.append((value_col, value_col + 1, value))
 
-        segments = self.store.segments(spec.table_name)
-        if not segments:
+        segment = latest_cube_segment(self.store, spec)
+        if segment is None:
             raise StorageError(f"cube {cube} has not been built")
-        segment = segments[-1]
         mask_strs = {str(m) for m in masks}
 
         size = segment.path.stat().st_size
         if size == 0:
-            return [], QueryTiming(time.perf_counter() - t_start, 0.0, scan_workers)
+            return [], QueryTiming(time.perf_counter() - t_start, 0.0, scan_workers), segment
         chunk = -(-size // scan_workers)
         plan = plan_splits(segment.path, SplitConfig(1, max(chunk, 1), chunk), CASE2)
         t_planned = time.perf_counter()
@@ -271,13 +278,7 @@ class QueryEngine:
             cumulative=sum(busy),
             scan_workers=scan_workers,
         )
-        return rows, timing
-
-    def cube_version(self, cube: str) -> int:
-        segments = self.store.segments(self._spec(cube).table_name)
-        if not segments:
-            raise StorageError(f"cube {cube} has not been built")
-        return segments[-1].batch_id
+        return rows, timing, segment
 
     def generate_report(self, ctx: TenantContext, report_id: str, params=None) -> ReportResult:
         """Bind parameters, query the cube, and render the report.
@@ -298,7 +299,9 @@ class QueryEngine:
             raise ValidationError(f"unknown parameter: {', '.join(unknown)}")
         spec = self._spec(report.cube)
         filters = [(p, params[p]) for p in report.params]
-        rows = self.query_cube(ctx, report.cube, report.masks, filters)
+        # validate_report keeps every parameter exposed in every mask, so a
+        # report always scans and knows the cube version it read
+        rows, _, segment = self._scan(ctx, report.cube, report.masks, filters, 1)
 
         def order_key(row: CubeRow):
             return tuple(
@@ -327,7 +330,7 @@ class QueryEngine:
             columns=tuple(col.label for col in report.output),
             rows=tuple(out_rows),
             generated_at=time.time(),
-            cube_version=self.cube_version(report.cube),
+            cube_version=segment.batch_id,
         )
 
     def list_reports(self, ctx: TenantContext | None = None) -> tuple[dict, ...]:

@@ -11,6 +11,8 @@ queries can filter a tenant's rows without string surgery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from .errors import ValidationError
 
@@ -144,31 +146,80 @@ class TableDef:
         return self.storage_columns.index(column)
 
 
+RESERVED_ROLLUP_TEXT = "ALL"
+
+# A failed row check: (reason, key context).  The key context is the row's
+# first non-empty natural-key or reference field, None for arity failures.
+RowFault = tuple[str, str | None]
+
+
+class UploadRules(NamedTuple):
+    """The upload-row rules of one table, compiled by upload_rules().
+
+    ``shape`` checks, in order: the field count, then that every numeric
+    field parses (a decimal must also be finite), then that no text key or
+    code field holds the reserved roll-up text.  ``empty_key`` checks that
+    no natural-key or reference field is empty.  Each returns None for a
+    conforming row and a RowFault otherwise.
+    """
+
+    shape: Callable[[list[str]], RowFault | None]
+    empty_key: Callable[[list[str]], RowFault | None]
+
+
+@lru_cache(maxsize=None)
+def upload_rules(table: TableDef) -> UploadRules:
+    """Compile the row rules of ``table``'s upload format, once per table."""
+    columns = table.upload_columns
+    arity = len(columns)
+    uploaded = [a for a in table.attributes if a.kind not in (TENANT_KEY, DIMENSION_KEY)]
+    numeric: list[tuple[int, bool, str]] = []
+    reserved: list[tuple[int, str]] = []
+    keys: list[tuple[int, str]] = []
+    for i, (attr, col) in enumerate(zip(uploaded, columns)):
+        if attr.value_class != TEXT:
+            numeric.append((i, attr.value_class == INTEGER, col))
+        elif attr.kind in (NATURAL_KEY, REFERENCE, CODE):
+            reserved.append((i, col))
+        if attr.kind in (NATURAL_KEY, REFERENCE):
+            keys.append((i, col))
+    key_idxs = [i for i, _ in keys]
+
+    def context(fields: list[str]) -> str | None:
+        for i in key_idxs:
+            if fields[i]:
+                return fields[i]
+        return None
+
+    def shape(fields: list[str]) -> RowFault | None:
+        if len(fields) != arity:
+            return f"arity: expected {arity} fields, found {len(fields)}", None
+        for i, is_int, col in numeric:
+            try:
+                parsed = int(fields[i]) if is_int else float(fields[i])
+            except ValueError:
+                return f"not-numeric:{col}", context(fields)
+            if parsed - parsed != 0.0:  # nan and inf; never true for an int
+                return f"not-numeric:{col}", context(fields)
+        for i, col in reserved:
+            if fields[i] == RESERVED_ROLLUP_TEXT:
+                return f"reserved-value:{col}", context(fields)
+        return None
+
+    def empty_key(fields: list[str]) -> RowFault | None:
+        for i, col in keys:
+            if not fields[i]:
+                return f"empty-key:{col}", context(fields)
+        return None
+
+    return UploadRules(shape, empty_key)
+
+
 @dataclass(frozen=True)
 class ShapeError:
     """Why a CSV row failed structural validation."""
 
     reason: str
-    field_index: int | None = None
-    field_name: str | None = None
-
-
-def _parses(value: str, value_class: str) -> bool:
-    if value_class == TEXT:
-        return True
-    try:
-        if value_class == INTEGER:
-            int(value)
-        else:
-            parsed = float(value)
-            if parsed != parsed or parsed in (float("inf"), float("-inf")):
-                return False
-    except ValueError:
-        return False
-    return True
-
-
-RESERVED_ROLLUP_TEXT = "ALL"
 
 
 def validate_row_shape(table: TableDef, raw_fields: list[str]) -> ShapeError | None:
@@ -178,28 +229,12 @@ def validate_row_shape(table: TableDef, raw_fields: list[str]) -> ShapeError | N
     and every field parses under its attribute's value class.  Numeric fields
     (measures, integer codes) must be non-empty; text fields may be empty,
     which encodes an absent value.  Key and code fields must not be the
-    literal "ALL", which report rendering reserves for rolled-up cells.
+    literal "ALL", which report rendering reserves for rolled-up cells.  A
+    row with several faults reports the first in that order, as the ETL
+    pipeline does (see upload_rules); empty keys are the pipeline's to reject.
     """
-    columns = table.upload_columns
-    if len(raw_fields) != len(columns):
-        return ShapeError(reason=f"arity: expected {len(columns)} fields, found {len(raw_fields)}")
-    idx = 0
-    for attr in table.attributes:
-        if attr.kind in (TENANT_KEY, DIMENSION_KEY):
-            continue
-        if attr.value_class != TEXT and not _parses(raw_fields[idx], attr.value_class):
-            return ShapeError(
-                reason=f"not-numeric:{columns[idx]}", field_index=idx, field_name=columns[idx]
-            )
-        if (
-            attr.kind in (NATURAL_KEY, REFERENCE, CODE)
-            and raw_fields[idx] == RESERVED_ROLLUP_TEXT
-        ):
-            return ShapeError(
-                reason=f"reserved-value:{columns[idx]}", field_index=idx, field_name=columns[idx]
-            )
-        idx += 1
-    return None
+    fault = upload_rules(table).shape(raw_fields)
+    return None if fault is None else ShapeError(fault[0])
 
 
 @dataclass(frozen=True)

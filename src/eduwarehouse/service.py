@@ -103,6 +103,11 @@ class _Handler(BaseHTTPRequestHandler):
         if length is None:
             self._send_json(411, {"error": "Content-Length required"})
             return None
+        if not (length.isascii() and length.isdigit()):
+            # the body's extent is unknown, so the connection cannot be reused
+            self.close_connection = True
+            self._send_json(400, {"error": "Content-Length must be a non-negative integer"})
+            return None
         length = int(length)
         if length > limit:
             self._send_json(

@@ -13,7 +13,6 @@ import fcntl
 import logging
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -51,16 +50,6 @@ class Segment:
 
     def __repr__(self) -> str:
         return f"Segment({self.table!r}, batch_id={self.batch_id})"
-
-
-@dataclass(frozen=True)
-class TableState:
-    table: str
-    segments: tuple[Segment, ...]
-
-    @property
-    def row_count(self) -> int:
-        return sum(s.row_count for s in self.segments)
 
 
 def count_rows(path: Path) -> int:
@@ -113,9 +102,6 @@ class SegmentStore:
             if entry.suffix == SEGMENT_SUFFIX
         ]
         return sorted(found, key=lambda s: s.batch_id)
-
-    def table_state(self, table: str) -> TableState:
-        return TableState(table, tuple(self.segments(table)))
 
     def next_batch_id(self, table: str) -> int:
         seg_dir = self.root / table

@@ -1,0 +1,60 @@
+"""Malformed HTTP framing gets a 4xx answer, never a 500 or a held thread."""
+
+import http.client
+import json
+
+import pytest
+
+from eduwarehouse.auth import RegistryEntry, TenantRegistry, hash_secret
+from eduwarehouse.config import GatewayConfig
+from eduwarehouse.schema import builtin_schema
+from eduwarehouse.service import ServiceThread
+from eduwarehouse.store import SegmentStore
+
+from conftest import U1
+
+
+@pytest.fixture
+def address(tmp_path):
+    root = tmp_path / "wh"
+    SegmentStore(root, builtin_schema())
+    TenantRegistry.from_entries(
+        [RegistryEntry("uni1", hash_secret("pw-one", iterations=1000), U1)]
+    ).save(root / "registry.csv")
+    cfg = GatewayConfig(warehouse_root=root, listen_port=0,
+                        cube_refresh_interval=3600.0, worker_pool_size=1)
+    with ServiceThread(cfg) as st:
+        yield st.address
+
+
+def _post(address, path, body, length, token=None):
+    """POST with a verbatim Content-Length; a stuck handler trips the timeout."""
+    conn = http.client.HTTPConnection(*address, timeout=5)
+    try:
+        conn.putrequest("POST", path, skip_accept_encoding=True)
+        conn.putheader("Content-Length", length)
+        if token:
+            conn.putheader("Authorization", f"Bearer {token}")
+        conn.endheaders(body)
+        resp = conn.getresponse()
+        return resp.status, resp.read()
+    finally:
+        conn.close()
+
+
+def _token(address):
+    body = json.dumps({"login": "uni1", "secret": "pw-one"}).encode()
+    status, raw = _post(address, "/auth", body, str(len(body)))
+    assert status == 200, raw
+    return json.loads(raw)["token"]
+
+
+@pytest.mark.parametrize("length", ["abc", "1e3", "-1", "+5", "0x10", ""])
+@pytest.mark.parametrize("path", ["/auth", "/upload?table=Times"])
+def test_bad_content_length_is_400(address, path, length):
+    token = _token(address) if path.startswith("/upload") else None
+    status, raw = _post(address, path, b"time_code,year,term\n", length, token)
+    assert status == 400, raw
+    assert "Content-Length" in json.loads(raw)["error"]
+    # the service keeps answering
+    assert _token(address)

@@ -1,0 +1,100 @@
+"""One set of upload-row rules: validate_row_shape, the two-stage
+extract/transform path and the fused pipeline worker agree on every table."""
+
+import pytest
+
+from eduwarehouse.etl import EtlPipeline, SplitConfig, SplitRange, extract, transform
+from eduwarehouse.schema import (
+    CODE,
+    DECIMAL,
+    DESCRIPTIVE,
+    DIMENSION_KEY,
+    INTEGER,
+    NATURAL_KEY,
+    REFERENCE,
+    TENANT_KEY,
+    TEXT,
+    builtin_schema,
+    validate_row_shape,
+)
+
+from conftest import U1
+
+SCHEMA = builtin_schema()
+
+
+def _fault_rows(table):
+    """(fields, expected first reason or None) for one valid row and rows
+    carrying each single fault, plus a numeric fault behind a reserved value
+    (numeric checks come first)."""
+    uploaded = [a for a in table.attributes if a.kind not in (TENANT_KEY, DIMENSION_KEY)]
+    columns = table.upload_columns
+    valid = [
+        "7" if a.value_class == INTEGER else "2.5" if a.value_class == DECIMAL else f"v{i}"
+        for i, a in enumerate(uploaded)
+    ]
+
+    def with_value(i, value):
+        row = list(valid)
+        row[i] = value
+        return row
+
+    n = len(columns)
+    cases = [
+        (valid, None),
+        (valid + ["extra"], f"arity: expected {n} fields, found {n + 1}"),
+        (valid[:-1], f"arity: expected {n} fields, found {n - 1}"),
+    ]
+    numeric = [i for i, a in enumerate(uploaded) if a.value_class != TEXT]
+    reserved = [
+        i for i, a in enumerate(uploaded)
+        if a.value_class == TEXT and a.kind in (NATURAL_KEY, REFERENCE, CODE)
+    ]
+    keys = [i for i, a in enumerate(uploaded) if a.kind in (NATURAL_KEY, REFERENCE)]
+    for i in numeric:
+        for bad in ("nan", "inf", "-inf", "1e999", "oops", ""):
+            cases.append((with_value(i, bad), f"not-numeric:{columns[i]}"))
+    for i in reserved:
+        cases.append((with_value(i, "ALL"), f"reserved-value:{columns[i]}"))
+        for j in numeric:
+            row = with_value(i, "ALL")
+            row[j] = "oops"
+            cases.append((row, f"not-numeric:{columns[j]}"))
+    for i in keys:
+        cases.append((with_value(i, ""), f"empty-key:{columns[i]}"))
+    for i, a in enumerate(uploaded):
+        if a.kind == DESCRIPTIVE:
+            cases.append((with_value(i, "ALL"), None))  # free text may say ALL
+    if table.name == "StudentPerformance":
+        cases.append(("s1,ALL,T1,FT,oops,60,A".split(","), "not-numeric:marks"))
+        cases.append((",CS1,T1,FT,5,6,A".split(","), "empty-key:student_id"))
+    return cases
+
+
+@pytest.mark.parametrize("table_name", sorted(SCHEMA.tables))
+def test_every_caller_reports_the_same_first_fault(table_name, store, tmp_path):
+    table = SCHEMA.tables[table_name]
+    cases = _fault_rows(table)
+    path = tmp_path / "upload.csv"
+    path.write_text(
+        table.upload_header + "\n" + "".join(",".join(f) + "\n" for f, _ in cases)
+    )
+
+    # fused worker, through the whole pipeline; data rows start at line 2
+    result = EtlPipeline(store, SplitConfig(1, 1 << 28, 1 << 20), 1).run(path, table_name, U1)
+    fused = {e.line_number: e.reason for e in result.report.entries}
+
+    # two-stage reference path
+    extracted = extract(SplitRange(str(path), 0, path.stat().st_size, 0), table, U1)
+    _, terrors = transform(extracted.records, table, U1)
+    staged = {e.line_number: e.reason for e in extracted.errors + terrors}
+
+    for line, (fields, expected) in enumerate(cases, start=2):
+        assert fused.get(line) == expected, (line, fields)
+        assert staged.get(line) == expected, (line, fields)
+        shape = validate_row_shape(table, fields)
+        # by contract validate_row_shape leaves empty keys to the pipeline
+        if expected is None or expected.startswith("empty-key:"):
+            assert shape is None, (fields, shape)
+        else:
+            assert shape is not None and shape.reason == expected, (fields, shape)
