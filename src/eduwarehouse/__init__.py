@@ -37,7 +37,6 @@ from .cube import (
     conv,
     grouping_id,
     presence_from_id,
-    refresh_cubes,
 )
 from .olap import QueryEngine, TenantContext, report_catalog
 from .auth import SessionManager, TenantRegistry, authenticate, hash_secret
@@ -82,7 +81,6 @@ __all__ = [
     "plan_splits",
     "presence_from_id",
     "qualify_key",
-    "refresh_cubes",
     "remove_outliers",
     "report_catalog",
     "run_etl",

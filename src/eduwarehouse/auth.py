@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import secrets
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -110,32 +111,40 @@ class TenantRegistry:
 
 
 class SessionManager:
-    """Opaque expiring session tokens mapping to tenant keys."""
+    """Opaque expiring session tokens mapping to tenant keys, shared by the
+    request threads.  ``create`` drops every expired token, presented or not.
+    """
 
     def __init__(self, ttl_seconds: float = 3600.0, clock=time.monotonic):
         if ttl_seconds <= 0:
             raise ValidationError("session ttl must be positive")
         self.ttl = ttl_seconds
         self._clock = clock
+        self._lock = threading.Lock()
         self._sessions: dict[str, tuple[TenantKey, float]] = {}
 
     def create(self, tenant: TenantKey) -> str:
         token = secrets.token_hex(16)
-        self._sessions[token] = (tenant, self._clock() + self.ttl)
+        now = self._clock()
+        with self._lock:
+            self._sessions = {t: s for t, s in self._sessions.items() if now < s[1]}
+            self._sessions[token] = (tenant, now + self.ttl)
         return token
 
     def resolve(self, token: str) -> TenantContext | None:
-        record = self._sessions.get(token)
-        if record is None:
-            return None
-        tenant, expires = record
-        if self._clock() >= expires:
-            del self._sessions[token]
-            return None
+        with self._lock:
+            record = self._sessions.get(token)
+            if record is None:
+                return None
+            tenant, expires = record
+            if self._clock() >= expires:
+                self._sessions.pop(token, None)
+                return None
         return TenantContext(tenant, token)
 
     def revoke(self, token: str) -> None:
-        self._sessions.pop(token, None)
+        with self._lock:
+            self._sessions.pop(token, None)
 
 
 def authenticate(

@@ -7,9 +7,10 @@ bitmask telling which attributes are present (bit 1) versus rolled up
 attribute.  Mandatory keys (the tenant key in all shipped cubes) are grouped
 in every row and never rolled up.
 
-Aggregates carry (sum, count) accumulators beside the mean so partial
-aggregations merge associatively; built cubes are immutable and a rebuild
-replaces the previous version atomically.
+Aggregates carry (sum, count) accumulators beside the mean.  A build
+aggregates each fact row once, at the finest grouping, and rolls every
+coarser grouping up from those groups by adding accumulators; built cubes
+are immutable and a rebuild replaces the previous version atomically.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ import uuid
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 
 from .errors import StorageError, ValidationError
-from .schema import DECIMAL, INTEGER, TEXT, TableDef
+from .schema import INTEGER, TEXT, TableDef
 from .store import Segment, SegmentStore
 
 logger = logging.getLogger(__name__)
@@ -32,8 +32,6 @@ logger = logging.getLogger(__name__)
 MAX_CUBE_ATTRS = 62
 
 AVG = "avg"
-
-_PARTITION_CHUNK = 4096
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
@@ -191,8 +189,9 @@ def parse_cube_row(spec: CubeSpec, fields: list[str]) -> CubeRow:
 def merge_accumulators(a: list, b: list) -> list:
     """Combine two accumulator vectors [support, sum0, count0, sum1, ...].
 
-    Elementwise addition, hence associative and commutative; partial
-    aggregations over any partitioning merge to the same totals.
+    Elementwise addition, hence associative and commutative; a coarser
+    group is the merge of the finer groups it rolls up.  Neither input is
+    mutated.
     """
     if len(a) != len(b):
         raise ValidationError("accumulator arity mismatch")
@@ -207,7 +206,6 @@ class CubeBuildSummary:
     rows_excluded: int
     cube_rows: int
     build_seconds: float
-    cumulative_seconds: float
     fact_batches: tuple[int, ...]
 
     def to_report(self) -> str:
@@ -218,7 +216,6 @@ class CubeBuildSummary:
             f"rows_excluded: {self.rows_excluded}",
             f"cube_rows: {self.cube_rows}",
             f"build_seconds: {self.build_seconds:.3f}",
-            f"cumulative_seconds: {self.cumulative_seconds:.3f}",
             f"fact_batches: {','.join(str(b) for b in self.fact_batches) or '-'}",
         ]
         return "\n".join(lines) + "\n"
@@ -235,17 +232,13 @@ def _masked_indexes(k: int) -> tuple[tuple[int, ...], ...]:
 class CubeEngine:
     """Builds cubes from deduped fact scans and persists them as segments.
 
-    The fact scan is split into ``partitions`` consecutive partitions; each
-    produces a partial accumulator map and a merge stage combines them
-    (associative, so any partitioning yields the same totals).  The desk
-    default is one partition.
+    One pass over the fact scan aggregates each row into its finest group
+    (every cube attribute present); each of the 2^k groupings is then rolled
+    up from those finest groups.
     """
 
-    def __init__(self, store: SegmentStore, partitions: int = 1):
-        if partitions < 1:
-            raise ValidationError("partitions must be >= 1")
+    def __init__(self, store: SegmentStore):
         self.store = store
-        self.partitions = partitions
 
     def _attr_sources(self, spec: CubeSpec, fact: TableDef):
         """Resolve each cube attribute to a fact column or a declared join."""
@@ -310,26 +303,23 @@ class CubeEngine:
             agg_is_int.append(attr.value_class == INTEGER)
 
         fact_batches = tuple(s.batch_id for s in self.store.segments(spec.fact))
-        masks = _masked_indexes(spec.k)
         n_aggs = len(spec.aggregates)
 
-        partials, rows_scanned, rows_excluded, busy = self._accumulate(
-            spec, sources, join_maps, mand_idx, agg_idx, agg_is_int, masks, n_aggs
+        finest, rows_scanned, rows_excluded = self._accumulate(
+            spec, sources, join_maps, mand_idx, agg_idx, agg_is_int, n_aggs
         )
-        groups: dict = partials[0]
-        for partial in partials[1:]:
-            for key, acc in partial.items():
+        groups: dict = {}
+        for mask, present in enumerate(_masked_indexes(spec.k)):
+            for (mandatory, attrs), acc in finest.items():
+                key = (mask, mandatory, tuple(attrs[j] for j in present))
                 mine = groups.get(key)
-                if mine is None:
-                    groups[key] = acc
-                else:
-                    groups[key] = merge_accumulators(mine, acc)
+                groups[key] = acc if mine is None else merge_accumulators(mine, acc)
 
         segment = self._persist(spec, groups, n_aggs)
         build_seconds = time.perf_counter() - t_start
         summary = CubeBuildSummary(
             spec.name, segment.batch_id, rows_scanned, rows_excluded,
-            len(groups), build_seconds, sum(busy), fact_batches,
+            len(groups), build_seconds, fact_batches,
         )
         logger.info(
             "built cube %s v%d: %d rows from %d facts (%d excluded) in %.2fs",
@@ -338,14 +328,13 @@ class CubeEngine:
         )
         return summary
 
-    def _accumulate(self, spec, sources, join_maps, mand_idx, agg_idx, agg_is_int, masks, n_aggs):
-        """Deal the deduped fact stream round-robin to partition aggregators.
+    def _accumulate(self, spec, sources, join_maps, mand_idx, agg_idx, agg_is_int, n_aggs):
+        """Aggregate the deduped fact stream at the finest grouping.
 
-        Each partition owns a partial accumulator map; its busy time covers
-        reading its share of the scan plus the aggregation work.
+        Returns {(mandatory, attrs): [support, sum0, count0, ...]} with every
+        cube attribute present, plus the scanned and excluded row counts.
         """
-        partials: list[dict] = [dict() for _ in range(self.partitions)]
-        busy = [0.0] * self.partitions
+        finest: dict = {}
         rows_scanned = 0
         rows_excluded = 0
         acc_len = 1 + 2 * n_aggs
@@ -357,54 +346,39 @@ class CubeEngine:
             for i, (kind, idx, join) in enumerate(sources)
             if kind == "join"
         ]
-        k = spec.k
-        attr_slots: list = [None] * k
-        all_masks = range(1 << k)
-        rows = iter(self.store.scan(spec.fact))
-        chunk_no = 0
-        while True:
-            part = chunk_no % self.partitions
-            groups = partials[part]
-            t0 = time.perf_counter()
-            chunk = list(islice(rows, _PARTITION_CHUNK))
-            for fields in chunk:
-                rows_scanned += 1
-                mandatory = tuple(fields[i] for i in mand_idx)
-                for idx, slot in plain:
-                    attr_slots[slot] = fields[idx]
-                resolved = True
-                for idx, slot, mapping in joined:
-                    value = mapping.get(fields[idx])
-                    if value is None:
-                        resolved = False
-                        break
-                    attr_slots[slot] = value
-                if not resolved:
-                    rows_excluded += 1
-                    continue
-                try:
-                    measures = [
-                        int(fields[i]) if is_int else float(fields[i])
-                        for i, is_int in zip(agg_idx, agg_is_int)
-                    ]
-                except ValueError:
-                    rows_excluded += 1
-                    continue
-                for mask in all_masks:
-                    key = (mask, mandatory, tuple(attr_slots[j] for j in masks[mask]))
-                    acc = groups.get(key)
-                    if acc is None:
-                        acc = [0] * acc_len
-                        groups[key] = acc
-                    acc[0] += 1
-                    for a, m in enumerate(measures):
-                        acc[1 + 2 * a] += m
-                        acc[2 + 2 * a] += 1
-            busy[part] += time.perf_counter() - t0
-            chunk_no += 1
-            if len(chunk) < _PARTITION_CHUNK:
-                break
-        return partials, rows_scanned, rows_excluded, busy
+        attr_slots: list = [None] * spec.k
+        for fields in self.store.scan(spec.fact):
+            rows_scanned += 1
+            for idx, slot in plain:
+                attr_slots[slot] = fields[idx]
+            resolved = True
+            for idx, slot, mapping in joined:
+                value = mapping.get(fields[idx])
+                if value is None:
+                    resolved = False
+                    break
+                attr_slots[slot] = value
+            if not resolved:
+                rows_excluded += 1
+                continue
+            try:
+                measures = [
+                    int(fields[i]) if is_int else float(fields[i])
+                    for i, is_int in zip(agg_idx, agg_is_int)
+                ]
+            except ValueError:
+                rows_excluded += 1
+                continue
+            key = (tuple(fields[i] for i in mand_idx), tuple(attr_slots))
+            acc = finest.get(key)
+            if acc is None:
+                acc = [0] * acc_len
+                finest[key] = acc
+            acc[0] += 1
+            for a, m in enumerate(measures):
+                acc[1 + 2 * a] += m
+                acc[2 + 2 * a] += 1
+        return finest, rows_scanned, rows_excluded
 
     def _persist(self, spec: CubeSpec, groups: dict, n_aggs: int) -> Segment:
         k = spec.k
@@ -566,7 +540,3 @@ class CubeRefresher:
             self._thread.join(timeout)
             self._thread = None
 
-
-def refresh_cubes(engine: CubeEngine, specs, interval: float) -> CubeRefresher:
-    """Start periodic cube rebuilds; returns the running scheduler handle."""
-    return CubeRefresher(engine, specs, interval).start()

@@ -176,7 +176,9 @@ class QueryEngine:
         record-aligned chunks; per-chunk busy times feed the same
         effective/cumulative model the ETL pipeline reports.  The segment
         read is returned with the rows (None when no scan was needed), so
-        callers report the version they actually read.
+        callers report the version they actually read.  When a refresh drops
+        the picked version before it is read, the newest version is picked
+        and read once more; a second miss raises StorageError.
         """
         t_start = time.perf_counter()
         spec = self._spec(cube)
@@ -225,49 +227,62 @@ class QueryEngine:
             value_col = 1 + n_mand + 2 * bit
             checks.append((value_col, value_col + 1, value))
 
-        segment = latest_cube_segment(self.store, spec)
-        if segment is None:
-            raise StorageError(f"cube {cube} has not been built")
         mask_strs = {str(m) for m in masks}
 
-        size = segment.path.stat().st_size
-        if size == 0:
-            return [], QueryTiming(time.perf_counter() - t_start, 0.0, scan_workers), segment
-        chunk = -(-size // scan_workers)
-        plan = plan_splits(segment.path, SplitConfig(1, max(chunk, 1), chunk), CASE2)
-        t_planned = time.perf_counter()
+        def read(path):
+            """Matching rows and busy time per chunk, and when planning ended."""
+            size = path.stat().st_size
+            if size == 0:
+                return [], [], time.perf_counter()
+            chunk = -(-size // scan_workers)
+            plan = plan_splits(path, SplitConfig(1, max(chunk, 1), chunk), CASE2)
+            t_planned = time.perf_counter()
+            busy = []
+            chunk_results: list[list[CubeRow]] = []
+            for split in plan.splits:
+                t0 = time.perf_counter()
+                with open(split.path, "rb") as fh:
+                    fh.seek(split.offset)
+                    text = fh.read(split.length).decode("utf-8")
+                found: list[CubeRow] = []
+                for line in text.split("\n"):
+                    if not line:
+                        continue
+                    fields = line.split(",")
+                    if fields[0] not in mask_strs:
+                        continue
+                    ok = True
+                    for value_col, flag_col in tenant_checks:
+                        if fields[value_col] != tenant or (
+                            flag_col is not None and fields[flag_col] != "1"
+                        ):
+                            ok = False
+                            break
+                    if not ok:
+                        continue
+                    for value_col, flag_col, value in checks:
+                        if fields[flag_col] != "1" or fields[value_col] != value:
+                            ok = False
+                            break
+                    if ok:
+                        found.append(parse_cube_row(spec, fields))
+                busy.append(time.perf_counter() - t0)
+                chunk_results.append(found)
+            return chunk_results, busy, t_planned
 
-        busy = []
-        chunk_results: list[list[CubeRow]] = []
-        for split in plan.splits:
-            t0 = time.perf_counter()
-            with open(split.path, "rb") as fh:
-                fh.seek(split.offset)
-                text = fh.read(split.length).decode("utf-8")
-            found: list[CubeRow] = []
-            for line in text.split("\n"):
-                if not line:
-                    continue
-                fields = line.split(",")
-                if fields[0] not in mask_strs:
-                    continue
-                ok = True
-                for value_col, flag_col in tenant_checks:
-                    if fields[value_col] != tenant or (
-                        flag_col is not None and fields[flag_col] != "1"
-                    ):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                for value_col, flag_col, value in checks:
-                    if fields[flag_col] != "1" or fields[value_col] != value:
-                        ok = False
-                        break
-                if ok:
-                    found.append(parse_cube_row(spec, fields))
-            busy.append(time.perf_counter() - t0)
-            chunk_results.append(found)
+        for _ in range(2):
+            segment = latest_cube_segment(self.store, spec)
+            if segment is None:
+                raise StorageError(f"cube {cube} has not been built")
+            try:
+                chunk_results, busy, t_planned = read(segment.path)
+                break
+            except FileNotFoundError:
+                pass  # a refresh dropped this version after it was picked
+        else:
+            raise StorageError(f"cube {cube} was replaced while being read; try again")
+        if not busy:
+            return [], QueryTiming(t_planned - t_start, 0.0, scan_workers), segment
         t_scanned = time.perf_counter()
         rows: list[CubeRow] = []
         for found in chunk_results:

@@ -80,6 +80,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -99,17 +101,20 @@ class _Handler(BaseHTTPRequestHandler):
         return self.svc.sessions.resolve(token.strip())
 
     def _read_body(self, limit: int) -> bytes | None:
+        # a refused body stays unread and would be parsed as the next
+        # request, so every refusal closes the connection
         length = self.headers.get("Content-Length")
         if length is None:
+            self.close_connection = True
             self._send_json(411, {"error": "Content-Length required"})
             return None
         if not (length.isascii() and length.isdigit()):
-            # the body's extent is unknown, so the connection cannot be reused
             self.close_connection = True
             self._send_json(400, {"error": "Content-Length must be a non-negative integer"})
             return None
         length = int(length)
         if length > limit:
+            self.close_connection = True
             self._send_json(
                 413,
                 {"error": f"upload exceeds the configured limit of {limit} bytes",

@@ -1,5 +1,11 @@
 """Registry, secret hashing, sessions, and the uniform-failure login path."""
 
+import itertools
+import random
+import sys
+import threading
+import time
+
 import pytest
 
 from eduwarehouse.auth import (
@@ -136,6 +142,63 @@ def test_tokens_are_unpredictable_enough():
     tokens = {sessions.create(U1) for _ in range(50)}
     assert len(tokens) == 50
     assert all(len(t) == 32 for t in tokens)
+
+
+def test_create_purges_tokens_that_expired_unpresented():
+    now = [0.0]
+    sessions = SessionManager(ttl_seconds=60, clock=lambda: now[0])
+    stale = {sessions.create(U1) for _ in range(3)}
+    now[0] = 30.0
+    live = sessions.create(U2)
+    now[0] = 60.0  # the first three expire now; nobody presents them again
+    fresh = sessions.create(U1)
+    assert set(sessions._sessions) == {live, fresh}
+    assert not stale & set(sessions._sessions)
+    assert sessions.resolve(live).university_key == U2
+
+
+def test_sessions_stay_consistent_under_concurrent_expiry():
+    # every clock read is one tick past the last, so with a one-tick ttl each
+    # token has expired by the time any thread resolves it; each read also
+    # yields the interpreter lock, so two threads often expire the same token
+    ticks = itertools.count()
+
+    def clock():
+        time.sleep(0)
+        return next(ticks)
+
+    sessions = SessionManager(ttl_seconds=1, clock=clock)
+    tokens = [sessions.create(U1) for _ in range(4)]
+    errors = []
+    start = threading.Barrier(8)
+
+    def worker(seed):
+        rng = random.Random(seed)
+        try:
+            start.wait(timeout=30)
+            for _ in range(3000):
+                slot = rng.randrange(len(tokens))
+                if rng.random() < 0.2:
+                    tokens[slot] = sessions.create(U1)
+                else:
+                    assert sessions.resolve(tokens[slot]) is None
+        except Exception as exc:  # collected, asserted on below
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    last = sessions.create(U2)
+    assert set(sessions._sessions) == {last}
 
 
 # ---- login ----

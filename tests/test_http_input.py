@@ -58,3 +58,39 @@ def test_bad_content_length_is_400(address, path, length):
     assert "Content-Length" in json.loads(raw)["error"]
     # the service keeps answering
     assert _token(address)
+
+
+@pytest.fixture
+def small_limit_address(tmp_path):
+    root = tmp_path / "wh"
+    SegmentStore(root, builtin_schema())
+    TenantRegistry.from_entries(
+        [RegistryEntry("uni1", hash_secret("pw-one", iterations=1000), U1)]
+    ).save(root / "registry.csv")
+    cfg = GatewayConfig(warehouse_root=root, listen_port=0, upload_limit=1024,
+                        cube_refresh_interval=3600.0, worker_pool_size=1)
+    with ServiceThread(cfg) as st:
+        yield st.address
+
+
+@pytest.mark.parametrize("length, status", [("2000", 413), (None, 411)])
+def test_refused_body_is_not_read_as_the_next_request(small_limit_address, length, status):
+    token = _token(small_limit_address)
+    auth = {"Authorization": f"Bearer {token}"}
+    body = b"time_code,year,term\n" + b"T1,2020,1\n" * 198  # 2,000 bytes
+    conn = http.client.HTTPConnection(*small_limit_address, timeout=5)
+    try:
+        conn.putrequest("POST", "/upload?table=Times", skip_accept_encoding=True)
+        if length is not None:
+            conn.putheader("Content-Length", length)
+        conn.putheader("Authorization", auth["Authorization"])
+        conn.endheaders(body)
+        resp = conn.getresponse()
+        assert resp.status == status, resp.read()
+        resp.read()
+        # same connection object: the next request must not meet the old body
+        conn.request("GET", "/reports", headers=auth)
+        resp = conn.getresponse()
+        assert resp.status == 200, resp.read()
+    finally:
+        conn.close()
