@@ -13,12 +13,7 @@ from .errors import (
     ValidationError,
     WarehouseError,
 )
-from .schema import (
-    TenantKey,
-    builtin_schema,
-    qualify_key,
-    validate_row_shape,
-)
+from .schema import TenantKey, builtin_schema
 from .store import SegmentStore
 from .etl import (
     CASE1,
@@ -27,14 +22,12 @@ from .etl import (
     SplitConfig,
     mapper_count,
     plan_splits,
-    run_etl,
     split_size,
 )
 from .cube import (
     CubeEngine,
     CubeSpec,
     builtin_cube_specs,
-    conv,
     grouping_id,
     presence_from_id,
 )
@@ -70,7 +63,6 @@ __all__ = [
     "authenticate",
     "builtin_cube_specs",
     "builtin_schema",
-    "conv",
     "gen_dataset",
     "gen_dataset_rows",
     "grouping_id",
@@ -80,13 +72,10 @@ __all__ = [
     "parse_bytes",
     "plan_splits",
     "presence_from_id",
-    "qualify_key",
     "remove_outliers",
     "report_catalog",
-    "run_etl",
     "run_etl_bench",
     "run_olap_bench",
     "split_size",
-    "validate_row_shape",
     "__version__",
 ]

@@ -142,10 +142,6 @@ class SessionManager:
                 return None
         return TenantContext(tenant, token)
 
-    def revoke(self, token: str) -> None:
-        with self._lock:
-            self._sessions.pop(token, None)
-
 
 def authenticate(
     registry: TenantRegistry, sessions: SessionManager, login: str, secret: str

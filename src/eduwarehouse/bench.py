@@ -22,7 +22,6 @@ import gc
 import logging
 import math
 import shutil
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,9 +39,6 @@ logger = logging.getLogger(__name__)
 
 ETL_EXPERIMENT = "etl"
 OLAP_EXPERIMENT = "olap"
-
-QUARTILE_BAND = "quartile-band"
-TUKEY_FENCES = "tukey"
 
 _LOCK_NAME = ".bench.lock"
 
@@ -123,26 +119,17 @@ def _quartiles(values: list[float]) -> tuple[float, float]:
     return at(0.25), at(0.75)
 
 
-def remove_outliers(samples: list[float], method: str = QUARTILE_BAND) -> list[float]:
+def remove_outliers(samples: list[float]) -> list[float]:
     """Two-stage outlier removal, order-preserving.
 
-    Stage 1 keeps values inside [Q1, Q3] (or inside the Tukey fences
-    Q1 - 1.5*IQR .. Q3 + 1.5*IQR under method="tukey"); stage 2, computed on
-    the stage-1 survivors, keeps values inside mean +/- 1.5 population
-    standard deviations.  An empty stage-2 result falls back to the stage-1
-    survivors.
+    Stage 1 keeps values inside [Q1, Q3]; stage 2, computed on the stage-1
+    survivors, keeps values inside mean +/- 1.5 population standard
+    deviations.  An empty stage-2 result falls back to the stage-1 survivors.
     """
     if len(samples) < 4:
         raise ValidationError("outlier removal needs at least 4 samples")
-    if method not in (QUARTILE_BAND, TUKEY_FENCES):
-        raise ValidationError(f"unknown outlier method {method!r}")
     q1, q3 = _quartiles(list(samples))
-    if method == TUKEY_FENCES:
-        span = 1.5 * (q3 - q1)
-        lo, hi = q1 - span, q3 + span
-    else:
-        lo, hi = q1, q3
-    stage1 = [v for v in samples if lo <= v <= hi]
+    stage1 = [v for v in samples if q1 <= v <= q3]
     mu = sum(stage1) / len(stage1)
     sigma = math.sqrt(sum((v - mu) ** 2 for v in stage1) / len(stage1))
     stage2 = [v for v in stage1 if mu - 1.5 * sigma <= v <= mu + 1.5 * sigma]
@@ -152,11 +139,11 @@ def remove_outliers(samples: list[float], method: str = QUARTILE_BAND) -> list[f
     return stage2
 
 
-def _mean_ms(seconds: list[float], method: str) -> float:
+def _mean_ms(seconds: list[float]) -> float:
     """Outlier-removed mean, in milliseconds.  Fewer than 4 samples skip
     removal (degenerate small-reps path, logged)."""
     if len(seconds) >= 4:
-        survivors = remove_outliers(seconds, method)
+        survivors = remove_outliers(seconds)
     else:
         logger.info("only %d samples; skipping outlier removal", len(seconds))
         survivors = seconds
@@ -210,7 +197,6 @@ def run_etl_bench(
     table: str = "StudentPerformance",
     tenant: TenantKey = BENCH_TENANT,
     universe: DimensionUniverse | None = None,
-    method: str = QUARTILE_BAND,
 ) -> BenchSeries:
     """Timed ETL runs over doubling input sizes.
 
@@ -268,9 +254,7 @@ def run_etl_bench(
                                 notes.append(note)
             rows = []
             for size in plan.sizes:
-                means = {
-                    mode: _mean_ms(effectives[size, mode], method) for mode in modes
-                }
+                means = {mode: _mean_ms(effectives[size, mode]) for mode in modes}
                 for mode in modes:
                     logger.info("etl bench size=%d mode=%s mean=%.2fms",
                                 size, mode, means[mode])
@@ -298,7 +282,6 @@ def run_olap_bench(
     plan: BenchPlan,
     rows_per_worker: int = 100_000,
     tenant: TenantKey = BENCH_TENANT,
-    method: str = QUARTILE_BAND,
 ) -> BenchSeries:
     """Timed report queries over cubes of growing row counts.
 
@@ -366,8 +349,8 @@ def run_olap_bench(
                         )
 
             for target, engine, workers, time_code, cube_rows in prepared:
-                rows.append((cube_rows, _mean_ms(cumulatives[target], method),
-                             _mean_ms(effectives[target], method)))
+                rows.append((cube_rows, _mean_ms(cumulatives[target]),
+                             _mean_ms(effectives[target])))
                 logger.info(
                     "olap bench target=%d cube_rows=%d workers=%d cum=%.2fms eff=%.2fms",
                     target, cube_rows, workers, rows[-1][1], rows[-1][2],

@@ -4,8 +4,9 @@ A cube precomputes, for every subset of its k grouping attributes, the
 grouped averages of its measures.  Each cube row carries a grouping_id
 bitmask telling which attributes are present (bit 1) versus rolled up
 (bit 0); the most significant of the k bits corresponds to the last-listed
-attribute.  Mandatory keys (the tenant key in all shipped cubes) are grouped
-in every row and never rolled up.
+attribute.  Mandatory keys are grouped in every row and never rolled up; the
+tenant key university_key is always one of them, so every cube row belongs
+to exactly one tenant.
 
 Aggregates carry (sum, count) accumulators beside the mean.  A build
 aggregates each fact row once, at the finest grouping, and rolls every
@@ -32,8 +33,6 @@ logger = logging.getLogger(__name__)
 MAX_CUBE_ATTRS = 62
 
 AVG = "avg"
-
-_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
 def grouping_id(cube_attrs, present) -> int:
@@ -62,25 +61,6 @@ def presence_from_id(mask: int, k: int) -> tuple[bool, ...]:
     return tuple(bool(mask >> j & 1) for j in range(k))
 
 
-def conv(value, from_base: int, to_base: int) -> str:
-    """Re-express a digit string in another base (2..36, lowercase digits)."""
-    if not (2 <= from_base <= 36 and 2 <= to_base <= 36):
-        raise ValidationError("bases must be within 2..36")
-    try:
-        n = int(str(value).strip(), from_base)
-    except ValueError:
-        raise ValidationError(f"{value!r} is not a base-{from_base} number") from None
-    if n == 0:
-        return "0"
-    sign = "-" if n < 0 else ""
-    n = abs(n)
-    digits = []
-    while n:
-        n, rem = divmod(n, to_base)
-        digits.append(_DIGITS[rem])
-    return sign + "".join(reversed(digits))
-
-
 @dataclass(frozen=True)
 class DimensionJoin:
     """Source a cube attribute from a dimension reached via a fact reference.
@@ -107,7 +87,11 @@ class AggregateSpec:
 
 @dataclass(frozen=True)
 class CubeSpec:
-    """Definition of one materialized cube over a fact table."""
+    """Definition of one materialized cube over a fact table.
+
+    ``mandatory_keys`` must include university_key: queries scope every
+    cube row to the session tenant by that column.
+    """
 
     name: str
     fact: str
@@ -127,6 +111,8 @@ class CubeSpec:
             raise ValidationError("mandatory_keys and cube_attrs must be disjoint")
         if len(set(self.cube_attrs)) != len(self.cube_attrs):
             raise ValidationError("duplicate cube attribute")
+        if "university_key" not in self.mandatory_keys:
+            raise ValidationError("mandatory_keys must include university_key")
 
     @property
     def k(self) -> int:
@@ -487,7 +473,6 @@ class CubeRefresher:
         self.specs = list(specs)
         self.interval = interval
         self.lag_samples: deque[VisibilityLagSample] = deque(maxlen=256)
-        self.last_summaries: dict[str, CubeBuildSummary] = {}
         self._covered: dict[str, set[int]] = {}
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
@@ -515,7 +500,6 @@ class CubeRefresher:
                     self.lag_samples.append(
                         VisibilityLagSample(spec.name, batch_id, visible_at - committed)
                     )
-            self.last_summaries[spec.name] = summary
             summaries.append(summary)
         return summaries
 

@@ -534,15 +534,3 @@ class EtlPipeline:
             ]
             return [f.result() for f in futures]
 
-
-def run_etl(
-    file: Path | str,
-    table: str,
-    tenant: TenantKey,
-    mode: str,
-    cfg: SplitConfig,
-    store: SegmentStore,
-    worker_pool_size: int | None = None,
-) -> BatchResult:
-    """One-shot convenience wrapper around EtlPipeline.run."""
-    return EtlPipeline(store, cfg, worker_pool_size).run(file, table, tenant, mode)

@@ -90,7 +90,6 @@ class QueryTiming:
 
     effective: float
     cumulative: float
-    scan_workers: int
 
 
 @dataclass(frozen=True)
@@ -170,7 +169,9 @@ class QueryEngine:
         A filter (attr, value) matches rows where the attribute is present
         and equal; rows with the attribute rolled up never match.  Filtering
         on an attribute that no requested mask exposes yields an empty result
-        with a warning rather than an error.
+        with a warning rather than an error.  A row is the session tenant's
+        when its university_key column, which every CubeSpec holds among its
+        mandatory keys, equals the tenant key.
 
         The scan reads the newest cube segment in ``scan_workers``
         record-aligned chunks; per-chunk busy times feed the same
@@ -202,25 +203,11 @@ class QueryEngine:
                     "filter on %s which is rolled up in every requested mask; empty result",
                     attr,
                 )
-                return [], QueryTiming(0.0, 0.0, scan_workers), None
+                return [], QueryTiming(0.0, 0.0), None
 
         tenant = ctx.university_key.value
         n_mand = len(spec.mandatory_keys)
-        if "university_key" in spec.mandatory_keys:
-            tenant_checks = [(1 + spec.mandatory_keys.index("university_key"), None)]
-        elif "university_key" in spec.cube_attrs:
-            # tenant key cubed (generic mode): only masks exposing it are safe
-            bit = spec.cube_attrs.index("university_key")
-            for mask in masks:
-                if not mask >> bit & 1:
-                    raise ValidationError(
-                        f"mask {mask} rolls up university_key; cannot scope to one tenant"
-                    )
-            value_col = 1 + n_mand + 2 * bit
-            tenant_checks = [(value_col, value_col + 1)]
-        else:
-            raise ValidationError(f"cube {cube} has no university_key; cannot scope")
-
+        tenant_col = 1 + spec.mandatory_keys.index("university_key")
         checks = []
         for attr, value in filters:
             bit = spec.cube_attrs.index(attr)
@@ -249,17 +236,9 @@ class QueryEngine:
                     if not line:
                         continue
                     fields = line.split(",")
-                    if fields[0] not in mask_strs:
+                    if fields[0] not in mask_strs or fields[tenant_col] != tenant:
                         continue
                     ok = True
-                    for value_col, flag_col in tenant_checks:
-                        if fields[value_col] != tenant or (
-                            flag_col is not None and fields[flag_col] != "1"
-                        ):
-                            ok = False
-                            break
-                    if not ok:
-                        continue
                     for value_col, flag_col, value in checks:
                         if fields[flag_col] != "1" or fields[value_col] != value:
                             ok = False
@@ -282,7 +261,7 @@ class QueryEngine:
         else:
             raise StorageError(f"cube {cube} was replaced while being read; try again")
         if not busy:
-            return [], QueryTiming(t_planned - t_start, 0.0, scan_workers), segment
+            return [], QueryTiming(t_planned - t_start, 0.0), segment
         t_scanned = time.perf_counter()
         rows: list[CubeRow] = []
         for found in chunk_results:
@@ -291,7 +270,6 @@ class QueryEngine:
         timing = QueryTiming(
             effective=(t_planned - t_start) + max(busy) + (t_end - t_scanned),
             cumulative=sum(busy),
-            scan_workers=scan_workers,
         )
         return rows, timing, segment
 
@@ -348,7 +326,7 @@ class QueryEngine:
             cube_version=segment.batch_id,
         )
 
-    def list_reports(self, ctx: TenantContext | None = None) -> tuple[dict, ...]:
+    def list_reports(self) -> tuple[dict, ...]:
         """The static report catalog; identical for every tenant."""
         return tuple(
             {

@@ -61,13 +61,6 @@ class TenantKey:
             )
 
 
-def qualify_key(tenant: TenantKey, raw_key: str) -> str:
-    """Prefix a tenant-provided key with the tenant's university key."""
-    if not raw_key:
-        raise ValidationError("raw key must be non-empty")
-    return tenant.value + KEY_SEPARATOR + raw_key
-
-
 @dataclass(frozen=True)
 class AttributeDef:
     """One logical attribute of a table.
@@ -213,28 +206,6 @@ def upload_rules(table: TableDef) -> UploadRules:
         return None
 
     return UploadRules(shape, empty_key)
-
-
-@dataclass(frozen=True)
-class ShapeError:
-    """Why a CSV row failed structural validation."""
-
-    reason: str
-
-
-def validate_row_shape(table: TableDef, raw_fields: list[str]) -> ShapeError | None:
-    """Check one upload row against the table's canonical format.
-
-    Returns None when the row conforms: field count matches the upload header
-    and every field parses under its attribute's value class.  Numeric fields
-    (measures, integer codes) must be non-empty; text fields may be empty,
-    which encodes an absent value.  Key and code fields must not be the
-    literal "ALL", which report rendering reserves for rolled-up cells.  A
-    row with several faults reports the first in that order, as the ETL
-    pipeline does (see upload_rules); empty keys are the pipeline's to reject.
-    """
-    fault = upload_rules(table).shape(raw_fields)
-    return None if fault is None else ShapeError(fault[0])
 
 
 @dataclass(frozen=True)

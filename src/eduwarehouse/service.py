@@ -67,6 +67,9 @@ class TenantService:
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "eduwh"
+    # headers and body go out in two writes; with Nagle on, a keep-alive
+    # client's delayed ACK would hold the body back for about 40 ms
+    disable_nagle_algorithm = True
 
     @property
     def svc(self) -> TenantService:
@@ -75,23 +78,22 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, fmt: str, *args) -> None:
         logger.info("%s %s", self.address_string(), fmt % args)
 
-    def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
+    def _send(
+        self, status: int, body: dict | str, content_type: str = "application/json"
+    ) -> None:
+        """Write one response: a dict body as JSON, a str body as UTF-8 text."""
+        if isinstance(body, dict):
+            data = json.dumps(body).encode("utf-8")
+        else:
+            data = body.encode("utf-8")
+            content_type += "; charset=utf-8"
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(data)))
         if self.close_connection:
             self.send_header("Connection", "close")
         self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", f"{content_type}; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self.wfile.write(data)
 
     def _context(self):
         header = self.headers.get("Authorization", "")
@@ -106,16 +108,16 @@ class _Handler(BaseHTTPRequestHandler):
         length = self.headers.get("Content-Length")
         if length is None:
             self.close_connection = True
-            self._send_json(411, {"error": "Content-Length required"})
+            self._send(411, {"error": "Content-Length required"})
             return None
         if not (length.isascii() and length.isdigit()):
             self.close_connection = True
-            self._send_json(400, {"error": "Content-Length must be a non-negative integer"})
+            self._send(400, {"error": "Content-Length must be a non-negative integer"})
             return None
         length = int(length)
         if length > limit:
             self.close_connection = True
-            self._send_json(
+            self._send(
                 413,
                 {"error": f"upload exceeds the configured limit of {limit} bytes",
                  "upload_limit": limit},
@@ -133,32 +135,32 @@ class _Handler(BaseHTTPRequestHandler):
             elif url.path == "/upload":
                 self._post_upload(dict(parse_qsl(url.query)))
             else:
-                self._send_json(404, {"error": f"no such endpoint {url.path}"})
+                self._send(404, {"error": f"no such endpoint {url.path}"})
         except ValidationError as exc:
-            self._send_json(400, {"error": str(exc)})
+            self._send(400, {"error": str(exc)})
         except Exception:
             logger.exception("unhandled error serving %s", self.path)
-            self._send_json(500, {"error": "internal error"})
+            self._send(500, {"error": "internal error"})
 
     def do_GET(self) -> None:
         url = urlsplit(self.path)
         try:
             ctx = self._context()
             if ctx is None:
-                self._send_json(401, {"error": "missing or expired session token"})
+                self._send(401, {"error": "missing or expired session token"})
             elif url.path == "/reports":
-                self._send_json(200, {"reports": list(self.svc.query.list_reports(ctx))})
+                self._send(200, {"reports": list(self.svc.query.list_reports())})
             elif url.path.startswith("/report/"):
                 self._get_report(ctx, url)
             else:
-                self._send_json(404, {"error": f"no such endpoint {url.path}"})
+                self._send(404, {"error": f"no such endpoint {url.path}"})
         except ValidationError as exc:
-            self._send_json(400, {"error": str(exc)})
+            self._send(400, {"error": str(exc)})
         except StorageError as exc:
-            self._send_json(409, {"error": str(exc)})
+            self._send(409, {"error": str(exc)})
         except Exception:
             logger.exception("unhandled error serving %s", self.path)
-            self._send_json(500, {"error": "internal error"})
+            self._send(500, {"error": "internal error"})
 
     def _post_auth(self) -> None:
         raw = self._read_body(_MAX_AUTH_BODY)
@@ -168,31 +170,31 @@ class _Handler(BaseHTTPRequestHandler):
             payload = json.loads(raw.decode("utf-8"))
             login, secret = payload["login"], payload["secret"]
         except (ValueError, KeyError, TypeError):
-            self._send_json(400, {"error": "body must be JSON with login and secret"})
+            self._send(400, {"error": "body must be JSON with login and secret"})
             return
         try:
             ctx = authenticate(self.svc.registry, self.svc.sessions, str(login), str(secret))
         except AuthenticationError as exc:
-            self._send_json(401, {"error": str(exc)})
+            self._send(401, {"error": str(exc)})
             return
-        self._send_json(200, {"token": ctx.session_id,
-                              "expires_in": self.svc.config.session_ttl})
+        self._send(200, {"token": ctx.session_id,
+                         "expires_in": self.svc.config.session_ttl})
 
     def _post_upload(self, params: dict) -> None:
         ctx = self._context()
         if ctx is None:
-            self._send_json(401, {"error": "missing or expired session token"})
+            self._send(401, {"error": "missing or expired session token"})
             return
         table = params.get("table")
         if not table:
-            self._send_json(400, {"error": "query parameter table is required"})
+            self._send(400, {"error": "query parameter table is required"})
             return
         if table not in self.svc.store.schema.tables:
-            self._send_json(400, {"error": f"unknown table {table!r}"})
+            self._send(400, {"error": f"unknown table {table!r}"})
             return
         mode = params.get("mode", "case2")
         if mode not in MODES:
-            self._send_json(400, {"error": f"unknown mode {mode!r}"})
+            self._send(400, {"error": f"unknown mode {mode!r}"})
             return
         raw = self._read_body(self.svc.config.upload_limit)
         if raw is None:
@@ -201,7 +203,7 @@ class _Handler(BaseHTTPRequestHandler):
         if content_type.startswith("multipart/"):
             raw = _multipart_file(raw, content_type)
             if raw is None:
-                self._send_json(400, {"error": "multipart body has no file part"})
+                self._send(400, {"error": "multipart body has no file part"})
                 return
         staged = self.svc.store.staging_path(f"upload_{uuid.uuid4().hex}.csv")
         staged.write_bytes(raw)
@@ -223,7 +225,7 @@ class _Handler(BaseHTTPRequestHandler):
                 for e in (result.report.entries if result.report else ())
             ],
         }
-        self._send_json(200 if result.committed else 422, payload)
+        self._send(200 if result.committed else 422, payload)
 
     def _get_report(self, ctx, url) -> None:
         report_id = url.path[len("/report/"):]
@@ -232,11 +234,11 @@ class _Handler(BaseHTTPRequestHandler):
         params = {k: v for k, v in query.items() if k not in _IGNORED_PARAMS}
         result = self.svc.query.generate_report(ctx, report_id, params)
         if fmt == "csv":
-            self._send_text(200, result.to_csv(), "text/csv")
+            self._send(200, result.to_csv(), "text/csv")
         elif fmt == "table":
-            self._send_text(200, result.to_table(), "text/plain")
+            self._send(200, result.to_table(), "text/plain")
         elif fmt == "json":
-            self._send_json(200, {
+            self._send(200, {
                 "report_id": result.report_id,
                 "columns": list(result.columns),
                 "rows": [list(r) for r in result.rows],
@@ -244,7 +246,7 @@ class _Handler(BaseHTTPRequestHandler):
                 "generated_at": result.generated_at,
             })
         else:
-            self._send_json(400, {"error": f"unknown format {fmt!r}"})
+            self._send(400, {"error": f"unknown format {fmt!r}"})
 
 
 def _multipart_file(raw: bytes, content_type: str) -> bytes | None:

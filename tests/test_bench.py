@@ -28,6 +28,8 @@ def test_worked_example():
     samples = [10, 12, 11, 13, 100, 11.5, 12.5, 9]
     # Q1=10.75, Q3=12.625 keep [12, 11, 11.5, 12.5]; stage 2 keeps all four
     assert remove_outliers(samples) == [12, 11, 11.5, 12.5]
+    # Q1=11.25, Q3=13.75: the quartile band drops 10, 11 and 14 as well as 100
+    assert remove_outliers([10, 11, 12, 13, 14, 100]) == [12, 13]
 
 
 def test_all_equal_unchanged():
@@ -41,15 +43,10 @@ def test_order_preserved():
     assert positions == sorted(positions)
 
 
-def _oracle(samples, tukey=False):
+def _oracle(samples):
     data = np.asarray(samples, dtype=float)
     q1, q3 = np.percentile(data, 25), np.percentile(data, 75)
-    if tukey:
-        span = 1.5 * (q3 - q1)
-        lo, hi = q1 - span, q3 + span
-    else:
-        lo, hi = q1, q3
-    stage1 = data[(data >= lo) & (data <= hi)]
+    stage1 = data[(data >= q1) & (data <= q3)]
     mu, sigma = np.mean(stage1), np.std(stage1)
     stage2 = stage1[(stage1 >= mu - 1.5 * sigma) & (stage1 <= mu + 1.5 * sigma)]
     return list(stage2 if len(stage2) else stage1)
@@ -62,9 +59,8 @@ def test_matches_numpy_oracle_on_random_samples():
         samples = [rng.uniform(0, 100) for _ in range(n)]
         if trial % 3 == 0:
             samples[rng.randrange(n)] = rng.uniform(500, 1000)  # gross outlier
-        for tukey in (False, True):
-            got = remove_outliers(samples, "tukey" if tukey else "quartile-band")
-            assert sorted(got) == sorted(_oracle(samples, tukey)), (trial, tukey)
+        got = remove_outliers(samples)
+        assert sorted(got) == sorted(_oracle(samples)), trial
 
 
 def test_integer_range_against_oracle():
@@ -73,16 +69,11 @@ def test_integer_range_against_oracle():
     assert remove_outliers(samples) == list(range(29, 73))
 
 
-def test_tukey_keeps_the_band_quartile_does_not():
-    samples = [10, 11, 12, 13, 14, 100]
-    assert remove_outliers(samples, "tukey") == [10, 11, 12, 13, 14]
-    assert remove_outliers(samples, "quartile-band") == [12, 13]
-
-
 def test_small_samples_and_bad_method_rejected():
     with pytest.raises(ValidationError):
         remove_outliers([1.0, 2.0, 3.0])
-    with pytest.raises(ValidationError):
+    # the quartile band is the only method; there is no knob to pick another
+    with pytest.raises(TypeError):
         remove_outliers([1.0, 2.0, 3.0, 4.0], method="iqr")
 
 

@@ -1,4 +1,4 @@
-"""Cube engine: grouping ids, base conversion, accumulators, builds."""
+"""Cube engine: grouping ids, accumulators, builds."""
 
 import itertools
 import random
@@ -14,7 +14,6 @@ from eduwarehouse.cube import (
     CubeSpec,
     DimensionJoin,
     builtin_cube_specs,
-    conv,
     cube_columns,
     grouping_id,
     merge_accumulators,
@@ -67,37 +66,6 @@ def test_presence_round_trip_small():
         assert grouping_id(attrs, present) == mask
 
 
-# ---- conv ----
-
-def test_conv_mask_usage():
-    assert conv("010", 2, 10) == "2"
-    assert conv("110", 2, 10) == "6"
-    assert conv("1011", 2, 10) == "11"
-
-
-def test_conv_round_trips():
-    rng = random.Random(3)
-    for _ in range(200):
-        n = rng.randrange(0, 10**9)
-        b1, b2 = rng.randint(2, 36), rng.randint(2, 36)
-        there = conv(str(n), 10, b1)
-        assert conv(there, b1, 10) == str(n)
-        again = conv(there, b1, b2)
-        assert int(again, b2) == n
-
-
-def test_conv_edges():
-    assert conv("0", 2, 36) == "0"
-    assert conv("-ff", 16, 10) == "-255"
-    assert conv("ZZ", 36, 10) == conv("zz", 36, 10) == "1295"
-    with pytest.raises(ValidationError):
-        conv("12", 2, 10)  # digit out of range for base 2
-    with pytest.raises(ValidationError):
-        conv("10", 1, 10)
-    with pytest.raises(ValidationError):
-        conv("10", 10, 37)
-
-
 # ---- accumulators ----
 
 def test_merge_accumulators_elementwise():
@@ -123,14 +91,18 @@ def test_merge_order_never_matters():
 
 def test_cube_spec_validation():
     agg = (AggregateSpec("avg_marks", "marks"),)
-    with pytest.raises(ValidationError):
-        CubeSpec("x", "StudentPerformance", (), (), agg)  # no attrs
-    with pytest.raises(ValidationError):
-        CubeSpec("x", "StudentPerformance", ("university_key",),
-                 ("a", "a"), agg)  # duplicate attr
-    with pytest.raises(ValidationError):
-        CubeSpec("x", "StudentPerformance", ("a",), ("a",), agg)  # overlap
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="cube_attrs must be nonempty"):
+        CubeSpec("x", "StudentPerformance", (), (), agg)
+    with pytest.raises(ValidationError, match="duplicate cube attribute"):
+        CubeSpec("x", "StudentPerformance", ("university_key",), ("a", "a"), agg)
+    with pytest.raises(ValidationError, match="must be disjoint"):
+        CubeSpec("x", "StudentPerformance", ("a",), ("a",), agg)
+    with pytest.raises(ValidationError, match="must include university_key"):
+        CubeSpec("x", "StudentPerformance", (), ("regtype_code",), agg)
+    with pytest.raises(ValidationError, match="must include university_key"):
+        # a cubed tenant key can be rolled up, so it cannot scope a query
+        CubeSpec("x", "StudentPerformance", (), ("university_key", "regtype_code"), agg)
+    with pytest.raises(ValidationError, match="unsupported aggregate function"):
         AggregateSpec("x", "marks", "sum")  # only avg is a public aggregate
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from eduwarehouse.datagen import DimensionUniverse, gen_dataset, gen_dataset_rows
 from eduwarehouse.errors import ValidationError
-from eduwarehouse.etl import CASE2, SplitConfig, run_etl
+from eduwarehouse.etl import CASE2, EtlPipeline, SplitConfig
 from eduwarehouse.schema import builtin_schema
 
 from conftest import U1, U2, ingest_text, store, pipeline  # noqa: F401
@@ -45,8 +45,9 @@ def test_generated_facts_pass_etl_clean(tmp_path, store, pipeline):  # noqa: F81
     for table in ("Courses", "Departments", "Times", "Regtypes"):
         ingest_text(pipeline, tmp_path, table, universe.dimension_upload(table))
     path = gen_dataset(tmp_path / "facts.csv", 32 * 1024, "StudentPerformance", U1, seed=5)
-    result = run_etl(path, "StudentPerformance", U1, CASE2,
-                     SplitConfig(1, 256 * 1024 * 1024, 1024 * 1024), store)
+    result = EtlPipeline(store, SplitConfig(1, 256 * 1024 * 1024, 1024 * 1024)).run(
+        path, "StudentPerformance", U1, CASE2
+    )
     assert result.committed and result.report is None
     assert result.rows_out == result.rows_in > 0
 

@@ -17,7 +17,6 @@ from eduwarehouse.etl import (
     extract,
     mapper_count,
     plan_splits,
-    run_etl,
     split_size,
     transform,
 )
@@ -349,14 +348,6 @@ def test_multiprocess_pool_matches_inline(store, tmp_path):
     )
     assert inline.segment.path.read_bytes() == pooled.segment.path.read_bytes()
     assert inline.n_m == pooled.n_m
-
-
-def test_run_etl_wrapper(store, tmp_path):
-    p = tmp_path / "f.csv"
-    p.write_text(_perf_csv(DEMO_FACTS))
-    result = run_etl(p, "StudentPerformance", U1, CASE2,
-                     SplitConfig(1, 256 * MIB, MIB), store, 1)
-    assert result.committed and result.rows_out == len(DEMO_FACTS)
 
 
 def test_error_report_csv_format():

@@ -2,6 +2,8 @@
 
 import http.client
 import json
+import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -11,19 +13,26 @@ from eduwarehouse.schema import builtin_schema
 from eduwarehouse.service import ServiceThread
 from eduwarehouse.store import SegmentStore
 
-from conftest import U1
+from conftest import DEMO_TERM, U1, ingest_demo_fixture
 
 
-@pytest.fixture
-def address(tmp_path):
+@contextmanager
+def _serving(tmp_path, **options):
+    """A gateway for tenant uni1 whose refresher never fires by itself."""
     root = tmp_path / "wh"
     SegmentStore(root, builtin_schema())
     TenantRegistry.from_entries(
         [RegistryEntry("uni1", hash_secret("pw-one", iterations=1000), U1)]
     ).save(root / "registry.csv")
     cfg = GatewayConfig(warehouse_root=root, listen_port=0,
-                        cube_refresh_interval=3600.0, worker_pool_size=1)
+                        cube_refresh_interval=3600.0, worker_pool_size=1, **options)
     with ServiceThread(cfg) as st:
+        yield st
+
+
+@pytest.fixture
+def address(tmp_path):
+    with _serving(tmp_path) as st:
         yield st.address
 
 
@@ -62,14 +71,7 @@ def test_bad_content_length_is_400(address, path, length):
 
 @pytest.fixture
 def small_limit_address(tmp_path):
-    root = tmp_path / "wh"
-    SegmentStore(root, builtin_schema())
-    TenantRegistry.from_entries(
-        [RegistryEntry("uni1", hash_secret("pw-one", iterations=1000), U1)]
-    ).save(root / "registry.csv")
-    cfg = GatewayConfig(warehouse_root=root, listen_port=0, upload_limit=1024,
-                        cube_refresh_interval=3600.0, worker_pool_size=1)
-    with ServiceThread(cfg) as st:
+    with _serving(tmp_path, upload_limit=1024) as st:
         yield st.address
 
 
@@ -94,3 +96,41 @@ def test_refused_body_is_not_read_as_the_next_request(small_limit_address, lengt
         assert resp.status == 200, resp.read()
     finally:
         conn.close()
+
+
+def test_keep_alive_responses_are_not_held_back(address):
+    # the headers and the body leave in two writes; with Nagle's algorithm
+    # on, each body waits for the client's delayed ACK (about 40 ms)
+    auth = {"Authorization": f"Bearer {_token(address)}"}
+    conn = http.client.HTTPConnection(*address, timeout=5)
+    try:
+        start = time.perf_counter()
+        for _ in range(20):
+            conn.request("GET", "/reports", headers=auth)
+            resp = conn.getresponse()
+            assert resp.status == 200, resp.read()
+            resp.read()
+        elapsed = time.perf_counter() - start
+    finally:
+        conn.close()
+    assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.3f} s"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+def test_text_response_announces_a_close(tmp_path, fmt):
+    with _serving(tmp_path) as st:
+        ingest_demo_fixture(st.service.pipeline, tmp_path)
+        st.service.refresher.run_once()
+        conn = http.client.HTTPConnection(*st.address, timeout=5)
+        try:
+            conn.request(
+                "GET", f"/report/avg_marks_by_regtype?time_code={DEMO_TERM}&format={fmt}",
+                headers={"Authorization": f"Bearer {_token(st.address)}",
+                         "Connection": "close"},
+            )
+            resp = conn.getresponse()
+            assert resp.status == 200, resp.read()
+            assert resp.getheader("Connection") == "close"
+            resp.read()
+        finally:
+            conn.close()

@@ -138,8 +138,7 @@ def test_scan_workers_do_not_change_results(store, pipeline, tmp_path):
     serial, t1 = engine.query_cube_timed(CTX1, "wide", set(range(8)), scan_workers=1)
     fanned, t4 = engine.query_cube_timed(CTX1, "wide", set(range(8)), scan_workers=4)
     assert fanned == serial
-    assert t1.scan_workers == 1 and t4.scan_workers == 4
-    assert t4.cumulative >= 0 and t4.effective >= 0
+    assert t1.cumulative >= 0 and t4.cumulative >= 0 and t4.effective >= 0
 
 
 # ---- tenant scoping ----
@@ -181,34 +180,16 @@ def test_dropping_other_tenant_leaves_report_bytes_unchanged(store, pipeline, tm
     assert after == before
 
 
-def test_generic_mode_requires_tenant_bit(store, pipeline, tmp_path):
-    ingest_demo_fixture(pipeline, tmp_path)
-    spec = CubeSpec(
-        name="generic_tenant", fact="StudentPerformance",
-        mandatory_keys=(),
-        cube_attrs=("university_key", "regtype_code"),
-        aggregates=(AggregateSpec("avg_marks", "marks"),),
-    )
-    CubeEngine(store).build(spec)
-    engine = QueryEngine(store, specs={"generic_tenant": spec}, catalog={})
-    rows = engine.query_cube(CTX1, "generic_tenant", {0b11})
-    assert rows and all(r.attrs[0] == "University1" for r in rows)
-    with pytest.raises(ValidationError, match="rolls up university_key"):
-        engine.query_cube(CTX1, "generic_tenant", {0b10})
-
-
-def test_unscopable_cube_rejected(store, pipeline, tmp_path):
-    ingest_demo_fixture(pipeline, tmp_path)
-    spec = CubeSpec(
-        name="unscoped", fact="StudentPerformance",
-        mandatory_keys=(),
-        cube_attrs=("regtype_code",),
-        aggregates=(AggregateSpec("avg_marks", "marks"),),
-    )
-    CubeEngine(store).build(spec)
-    engine = QueryEngine(store, specs={"unscoped": spec}, catalog={})
-    with pytest.raises(ValidationError, match="cannot scope"):
-        engine.query_cube(CTX1, "unscoped", {1})
+def test_unscopable_cube_rejected():
+    # a cube without the tenant key among its mandatory keys cannot be
+    # scoped to a session, so it is refused before it can be built
+    with pytest.raises(ValidationError, match="must include university_key"):
+        CubeSpec(
+            name="unscoped", fact="StudentPerformance",
+            mandatory_keys=(),
+            cube_attrs=("regtype_code",),
+            aggregates=(AggregateSpec("avg_marks", "marks"),),
+        )
 
 
 # ---- catalog ----

@@ -3,13 +3,13 @@
 import pytest
 
 from eduwarehouse.errors import ValidationError
+from eduwarehouse.etl import Record, transform
 from eduwarehouse.schema import (
     RESERVED_ROLLUP_TEXT,
     TenantKey,
     builtin_schema,
-    qualify_key,
     render_schema_reference,
-    validate_row_shape,
+    upload_rules,
 )
 
 DIMENSIONS = [
@@ -36,7 +36,12 @@ def test_snowflake_chain():
 
 
 def test_qualify_key():
-    assert qualify_key(TenantKey("university1"), "student1") == "university1_student1"
+    # the ETL transform prefixes each natural key with the tenant key
+    students = builtin_schema().tables["Students"]
+    out, errors = transform([Record(2, ["student1", "Ann"])], students,
+                            TenantKey("university1"))
+    assert errors == []
+    assert out[0].fields == ["university1_student1", "student1", "Ann"]
 
 
 def test_tenant_key_rejects_bad_values():
@@ -64,43 +69,41 @@ def test_upload_header_excludes_tenant_key():
         assert "university_key" not in table.upload_columns, name
 
 
+def _shape(table_name, row):
+    return upload_rules(builtin_schema().tables[table_name]).shape(row)
+
+
 def test_validate_row_shape_accepts_valid_row():
-    perf = builtin_schema().tables["StudentPerformance"]
     row = ["s1", "CS101", "2016-17-SPR", "FT", "78.5", "90", "A"]
-    assert validate_row_shape(perf, row) is None
+    assert _shape("StudentPerformance", row) is None
 
 
 def test_validate_row_shape_arity():
-    perf = builtin_schema().tables["StudentPerformance"]
-    err = validate_row_shape(perf, ["s1", "CS101"])
-    assert err is not None and err.reason.startswith("arity:")
+    assert _shape("StudentPerformance", ["s1", "CS101"]) == (
+        "arity: expected 7 fields, found 2", None
+    )
 
 
 @pytest.mark.parametrize("bad", ["abc", "nan", "inf", "-inf", "1e999", ""])
 def test_validate_row_shape_numeric(bad):
-    perf = builtin_schema().tables["StudentPerformance"]
     row = ["s1", "CS101", "2016-17-SPR", "FT", bad, "90", "A"]
-    err = validate_row_shape(perf, row)
-    assert err is not None and err.reason == "not-numeric:marks"
+    assert _shape("StudentPerformance", row) == ("not-numeric:marks", "s1")
 
 
 def test_validate_row_shape_integer_column():
-    counts = builtin_schema().tables["StudentCounts"]
-    assert validate_row_shape(counts, ["DEP01", "PRG01", "2016-17-SPR", "120"]) is None
-    err = validate_row_shape(counts, ["DEP01", "PRG01", "2016-17-SPR", "120.5"])
-    assert err is not None and err.reason == "not-numeric:head_count"
+    assert _shape("StudentCounts", ["DEP01", "PRG01", "2016-17-SPR", "120"]) is None
+    err = _shape("StudentCounts", ["DEP01", "PRG01", "2016-17-SPR", "120.5"])
+    assert err == ("not-numeric:head_count", "DEP01")
 
 
 def test_validate_row_shape_reserved_rollup_text():
     # "ALL" is reserved for rolled-up cube cells, so key and code fields
     # may never carry it as data
     assert RESERVED_ROLLUP_TEXT == "ALL"
-    perf = builtin_schema().tables["StudentPerformance"]
-    err = validate_row_shape(perf, ["s1", "ALL", "2016-17-SPR", "FT", "78", "90", "A"])
-    assert err is not None and err.reason == "reserved-value:course_code"
+    err = _shape("StudentPerformance", ["s1", "ALL", "2016-17-SPR", "FT", "78", "90", "A"])
+    assert err == ("reserved-value:course_code", "s1")
     # free-text name fields may contain it
-    dept = builtin_schema().tables["Departments"]
-    assert validate_row_shape(dept, ["DEP01", "ALL"]) is None
+    assert _shape("Departments", ["DEP01", "ALL"]) is None
 
 
 def test_schema_reference_covers_every_table():

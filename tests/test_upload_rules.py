@@ -1,4 +1,4 @@
-"""One set of upload-row rules: validate_row_shape, the two-stage
+"""One set of upload-row rules: the shape rule, the two-stage
 extract/transform path and the fused pipeline worker agree on every table."""
 
 import pytest
@@ -15,7 +15,7 @@ from eduwarehouse.schema import (
     TENANT_KEY,
     TEXT,
     builtin_schema,
-    validate_row_shape,
+    upload_rules,
 )
 
 from conftest import U1
@@ -92,9 +92,9 @@ def test_every_caller_reports_the_same_first_fault(table_name, store, tmp_path):
     for line, (fields, expected) in enumerate(cases, start=2):
         assert fused.get(line) == expected, (line, fields)
         assert staged.get(line) == expected, (line, fields)
-        shape = validate_row_shape(table, fields)
-        # by contract validate_row_shape leaves empty keys to the pipeline
+        shape = upload_rules(table).shape(fields)
+        # empty keys are the empty_key rule's, checked after shape
         if expected is None or expected.startswith("empty-key:"):
             assert shape is None, (fields, shape)
         else:
-            assert shape is not None and shape.reason == expected, (fields, shape)
+            assert shape is not None and shape[0] == expected, (fields, shape)
