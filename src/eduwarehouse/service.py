@@ -67,9 +67,6 @@ class TenantService:
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "eduwh"
-    # headers and body go out in two writes; with Nagle on, a keep-alive
-    # client's delayed ACK would hold the body back for about 40 ms
-    disable_nagle_algorithm = True
 
     @property
     def svc(self) -> TenantService:
