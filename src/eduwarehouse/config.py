@@ -6,6 +6,7 @@ rejected so typos fail loudly instead of silently running on defaults.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -38,6 +39,12 @@ def parse_bytes(text: str) -> int:
     return value * factor
 
 
+def _seconds(name: str, value: float) -> float:
+    if not 0 < value < math.inf:  # also refuses nan
+        raise ValidationError(f"{name} must be a finite positive number of seconds")
+    return value
+
+
 @dataclass
 class GatewayConfig:
     """Operator configuration with desk-scale defaults."""
@@ -58,10 +65,8 @@ class GatewayConfig:
         SplitConfig(self.s_min, self.s_max, self.s_b)  # validates the triple
         if self.worker_pool_size < 1:
             raise ValidationError("worker_pool_size must be >= 1")
-        if self.cube_refresh_interval <= 0:
-            raise ValidationError("cube_refresh_interval must be positive")
-        if self.session_ttl <= 0:
-            raise ValidationError("session_ttl must be positive")
+        _seconds("cube_refresh_interval", self.cube_refresh_interval)
+        _seconds("session_ttl", self.session_ttl)
         if self.upload_limit <= 0:
             raise ValidationError("upload_limit must be positive")
         if not 0 <= self.listen_port < 65536:  # 0 binds an ephemeral port
@@ -96,23 +101,36 @@ def load_config(path: Path | str | None) -> GatewayConfig:
         key, value = key.strip(), value.strip()
         if key not in known:
             raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
-        if key == "listen_address":
-            host, _, port = value.rpartition(":")
-            if not host or not port:
-                raise ValidationError(f"{path}:{lineno}: listen_address must be host:port")
-            values["listen_host"] = host
-            values["listen_port"] = int(port)
-        elif key == "warehouse_root":
-            values[key] = Path(value)
-        elif key in _BYTE_KEYS:
-            values[key] = parse_bytes(value)
-        elif key in _INT_KEYS:
-            values[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(value)
-        else:
-            values[key] = value
+        try:
+            values.update(_parse_entry(key, value))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
     return GatewayConfig(**values)
+
+
+def _parse_entry(key: str, value: str) -> dict:
+    """The GatewayConfig fields one key=value line sets."""
+    if key == "listen_address":
+        host, _, port = value.rpartition(":")
+        if not host or not port:
+            raise ValidationError("listen_address must be host:port")
+        return {"listen_host": host, "listen_port": _number(int, "listen_address port", port)}
+    if key == "warehouse_root":
+        return {key: Path(value)}
+    if key in _BYTE_KEYS:
+        return {key: parse_bytes(value)}
+    if key in _INT_KEYS:
+        return {key: _number(int, key, value)}
+    if key in _FLOAT_KEYS:
+        return {key: _seconds(key, _number(float, key, value))}
+    return {key: value}
+
+
+def _number(kind, name: str, text: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValidationError(f"{name} is not a number: {text!r}") from None
 
 
 def render_default_config(root: Path | str | None = None) -> str:

@@ -463,7 +463,9 @@ class CubeRefresher:
     Each rebuild replaces the cube atomically (readers see the old version
     until the new segment commits); a failed rebuild leaves the previous
     version in place.  Records, per fact batch, how long it took until a
-    cube containing that batch became visible.
+    cube containing that batch became visible.  A batch is identified by its
+    id and its segment's ctime, since a dropped batch's id is reused by the
+    next upload; only the identities in each cube's latest build are kept.
     """
 
     def __init__(self, engine: CubeEngine, specs, interval: float):
@@ -473,15 +475,15 @@ class CubeRefresher:
         self.specs = list(specs)
         self.interval = interval
         self.lag_samples: deque[VisibilityLagSample] = deque(maxlen=256)
-        self._covered: dict[str, set[int]] = {}
+        self._covered: dict[str, set[tuple[int, int]]] = {}
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
     def run_once(self) -> list[CubeBuildSummary]:
         summaries = []
         for spec in self.specs:
-            batch_times = {
-                s.batch_id: s.path.stat().st_ctime
+            committed_ns = {
+                s.batch_id: s.path.stat().st_ctime_ns
                 for s in self.engine.store.segments(spec.fact)
             }
             try:
@@ -490,16 +492,15 @@ class CubeRefresher:
                 logger.exception("cube %s rebuild failed; previous version kept", spec.name)
                 continue
             visible_at = time.time()
-            covered = self._covered.setdefault(spec.name, set())
-            for batch_id in summary.fact_batches:
-                if batch_id in covered:
-                    continue
-                covered.add(batch_id)
-                committed = batch_times.get(batch_id)
-                if committed is not None:
-                    self.lag_samples.append(
-                        VisibilityLagSample(spec.name, batch_id, visible_at - committed)
-                    )
+            covered = {
+                (b, committed_ns[b]) for b in summary.fact_batches if b in committed_ns
+            }
+            seen = self._covered.get(spec.name, set())
+            for batch_id, ctime_ns in sorted(covered - seen):
+                self.lag_samples.append(
+                    VisibilityLagSample(spec.name, batch_id, visible_at - ctime_ns / 1e9)
+                )
+            self._covered[spec.name] = covered
             summaries.append(summary)
         return summaries
 

@@ -1,6 +1,7 @@
-"""Parallel CSV ingestion: extract, transform, load, and the split planner.
+"""Parallel CSV ingestion: the split planner, the split worker and the load.
 
 An upload is partitioned into record-aligned byte ranges; independent workers
+(``_process_split``, the only code that turns upload lines into stored rows)
 parse, validate and tenant-qualify each range and write per-split intermediate
 files.  The load step concatenates them into one staged file and commits it,
 or aborts the whole batch with a line-numbered error report if any split saw
@@ -155,14 +156,6 @@ def plan_splits(file: Path | str, cfg: SplitConfig, mode: str) -> SplitPlan:
     return SplitPlan(path, s_ip, s_split, splits)
 
 
-@dataclass(slots=True)
-class Record:
-    """One parsed CSV row; line_number is 1-based within the source file."""
-
-    line_number: int
-    fields: list[str]
-
-
 @dataclass(frozen=True)
 class EtlError:
     line_number: int
@@ -181,20 +174,6 @@ class EtlErrorReport:
         for e in self.entries:
             lines.append(f"{e.line_number},{e.tenant_key_value or ''},{e.reason}")
         return "\n".join(lines) + "\n"
-
-
-@dataclass
-class ExtractResult:
-    """Parsed rows and errors of one split.
-
-    Line numbers count from the split's first line; for the first split that
-    is the global file numbering (header = line 1).  The pipeline offsets
-    later splits by the preceding splits' line counts when merging.
-    """
-
-    records: list[Record]
-    errors: list[EtlError]
-    line_count: int
 
 
 # Transform instructions: how each storage column is produced from an upload
@@ -254,67 +233,6 @@ def _data_lines(split: SplitRange, table: TableDef) -> tuple[list[str], int, Etl
     return lines[1:], 1, None
 
 
-def extract(split: SplitRange, table: TableDef, tenant: TenantKey) -> ExtractResult:
-    """Parse and shape-validate one split independently of all others.
-
-    The first split must begin with the table's canonical upload header; a
-    mismatch is a whole-batch structural error.  Valid lines become records,
-    invalid ones become report entries; both carry split-local line numbers
-    (see ExtractResult).  The row rules are schema.upload_rules' shape check.
-    """
-    shape = upload_rules(table).shape
-    lines, line_no, fault = _data_lines(split, table)
-    records: list[Record] = []
-    errors: list[EtlError] = [fault] if fault else []
-    for raw in lines:
-        line_no += 1
-        fields = raw[:-1].split(",") if raw.endswith("\r") else raw.split(",")
-        bad = shape(fields)
-        if bad is None:
-            records.append(Record(line_no, fields))
-        else:
-            errors.append(EtlError(line_no, bad[1], bad[0]))
-    return ExtractResult(records, errors, line_no)
-
-
-def transform(
-    records: list[Record], table: TableDef, tenant: TenantKey
-) -> tuple[list[Record], list[EtlError]]:
-    """Qualify keys and references with the tenant prefix (dual-key storage).
-
-    Every natural-key and reference attribute gains a qualified companion
-    computed as tenant + separator + raw value, with the raw value retained
-    beside it; the fact's tenant-key column is set from the session tenant.
-    Measures and codes pass through untouched.  Rows with an empty key field
-    (schema.upload_rules' empty_key check) become error entries instead of
-    output records.
-    """
-    ops = _transform_plan(table)
-    empty_key = upload_rules(table).empty_key
-    prefix = tenant.value + KEY_SEPARATOR
-    out: list[Record] = []
-    errors: list[EtlError] = []
-    tenant_value = tenant.value
-    for rec in records:
-        fields = rec.fields
-        bad = empty_key(fields)
-        if bad is not None:
-            errors.append(EtlError(rec.line_number, bad[1], bad[0]))
-            continue
-        out.append(
-            Record(
-                rec.line_number,
-                [
-                    tenant_value if op == _TENANT
-                    else prefix + fields[arg] if op == _QUALIFY
-                    else fields[arg]
-                    for op, arg in ops
-                ],
-            )
-        )
-    return out, errors
-
-
 def _row_renderer(table: TableDef, tenant: TenantKey):
     """Storage-row renderer compiled from the transform plan.
 
@@ -353,12 +271,16 @@ class _SplitOutcome:
 def _process_split(
     split: SplitRange, table: TableDef, tenant: TenantKey, out_path: str
 ) -> _SplitOutcome:
-    """Worker body: extract + transform one split and write its intermediate
-    file.  Busy time spans the whole body, queue wait excluded.
+    """Worker body, the one path from a split to stored rows.
 
-    This is a fused fast path over the same row rules and transform plan
-    extract() and transform() use; test suites assert it emits
-    byte-identical output.
+    Checks each data line against schema.upload_rules (shape, then empty
+    keys), renders each valid line into its storage row (the transform
+    plan: raw value plus tenant-qualified key for every key and reference)
+    and writes them to the split's intermediate file.  Error line numbers
+    count from the split's first line, which for the first split is the
+    file numbering (header = line 1); the pipeline offsets later splits by
+    their predecessors' line counts.  Busy time spans the whole body, queue
+    wait excluded.
     """
     t0 = time.perf_counter()
     rules = upload_rules(table)

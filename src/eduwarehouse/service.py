@@ -18,6 +18,7 @@ import email
 import email.policy
 import json
 import logging
+import sys
 import threading
 import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -260,10 +261,21 @@ def _multipart_file(raw: bytes, content_type: str) -> bytes | None:
     return None
 
 
+class _Server(ThreadingHTTPServer):
+    def handle_error(self, request, client_address) -> None:
+        """Log a client's reset at debug level; anything else with its
+        traceback, through logging rather than straight to stderr."""
+        exc = sys.exc_info()[1]
+        if isinstance(exc, ConnectionError):
+            logger.debug("connection from %s dropped: %r", client_address, exc)
+        else:
+            logger.exception("error serving a request from %s", client_address)
+
+
 def make_server(config: GatewayConfig) -> tuple[ThreadingHTTPServer, TenantService]:
     """Bind the service; caller drives serve_forever/shutdown."""
     service = TenantService(config)
-    server = ThreadingHTTPServer((config.listen_host, config.listen_port), _Handler)
+    server = _Server((config.listen_host, config.listen_port), _Handler)
     server.service = service  # type: ignore[attr-defined]
     return server, service
 

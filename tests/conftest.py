@@ -13,7 +13,7 @@ from pathlib import Path
 
 from eduwarehouse.schema import TenantKey, builtin_schema
 from eduwarehouse.store import SegmentStore
-from eduwarehouse.etl import CASE2, EtlPipeline, SplitConfig
+from eduwarehouse.etl import CASE2, EtlPipeline, SplitConfig, SplitRange, _process_split
 
 _config = None
 _acceptance_lines: list[str] = []
@@ -122,3 +122,16 @@ def ingest_demo_fixture(pipeline: EtlPipeline, tmp_path: Path,
     rows = facts if facts is not None else DEMO_FACTS
     text = PERF_HEADER + "\n" + "".join(",".join(r) + "\n" for r in rows)
     return ingest_text(pipeline, tmp_path, "StudentPerformance", text, tenant)
+
+
+def process_whole_file(path: Path, table, tenant: TenantKey = U1):
+    """Run the ETL split worker on all of ``path`` as one split.
+
+    Returns (stored rows as field lists, errors, line_count).
+    """
+    out = path.with_name(path.name + ".out")
+    whole = SplitRange(str(path), 0, path.stat().st_size, 0)
+    outcome = _process_split(whole, table, tenant, str(out))
+    lines = out.read_bytes().decode("utf-8").split("\n")[:-1]  # LF-terminated
+    rows = [line.split(",") for line in lines]
+    return rows, list(outcome.errors), outcome.line_count

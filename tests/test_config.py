@@ -56,7 +56,11 @@ def test_defaults():
     {"s_min": 10, "s_max": 5},
     {"worker_pool_size": 0},
     {"cube_refresh_interval": 0},
+    {"cube_refresh_interval": float("nan")},
+    {"cube_refresh_interval": float("inf")},
     {"session_ttl": -1},
+    {"session_ttl": float("nan")},
+    {"session_ttl": float("inf")},
     {"upload_limit": 0},
     {"listen_port": 65536},
     {"listen_port": -1},
@@ -108,12 +112,19 @@ def test_load_ipv6_listen_address(tmp_path):
     ("just a line", "expected key=value"),
     ("listen_address=8080", "host:port"),
     ("s_b=zero", "byte size"),
+    ("worker_pool_size=two", "worker_pool_size is not a number"),
+    ("listen_address=localhost:http", "port is not a number"),
+    ("session_ttl=soon", "session_ttl is not a number"),
+    ("cube_refresh_interval=nan", "finite positive"),
+    ("session_ttl=inf", "finite positive"),
+    ("session_ttl=-5", "finite positive"),
 ])
 def test_load_rejects_bad_lines(tmp_path, line, fragment):
     path = tmp_path / "c"
-    path.write_text(line + "\n")
-    with pytest.raises(ValidationError, match=fragment):
+    path.write_text("# header\n" + line + "\n")
+    with pytest.raises(ValidationError, match=fragment) as info:
         load_config(path)
+    assert str(info.value).startswith(f"{path}:2: ")
 
 
 def test_error_messages_carry_line_numbers(tmp_path):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from collections import defaultdict
 
 import pytest
@@ -291,6 +292,32 @@ def test_refresher_records_visibility_lag(store, pipeline, tmp_path):
     # a second pass with no new batches records nothing new
     refresher.run_once()
     assert len(refresher.lag_samples) == 1
+
+
+def test_refresher_samples_a_reused_batch_id(store, pipeline, tmp_path):
+    first = ingest_demo_fixture(pipeline, tmp_path)
+    refresher = CubeRefresher(CubeEngine(store), [SPEC], interval=3600)
+    refresher.run_once()
+    store.drop_batch("StudentPerformance", first.segment.batch_id)
+    refresher.run_once()
+    again = ingest_demo_fixture(pipeline, tmp_path)
+    assert again.segment.batch_id == first.segment.batch_id
+    refresher.run_once()
+    assert [s.fact_batch for s in refresher.lag_samples] == [1, 1]
+
+
+def test_refresher_samples_a_batch_replaced_between_refreshes(store, pipeline, tmp_path):
+    first = ingest_demo_fixture(pipeline, tmp_path)
+    refresher = CubeRefresher(CubeEngine(store), [SPEC], interval=3600)
+    refresher.run_once()
+    store.drop_batch("StudentPerformance", first.segment.batch_id)
+    time.sleep(0.02)  # file ctimes tick every few ms; let the new one differ
+    again = ingest_demo_fixture(pipeline, tmp_path)
+    assert again.segment.batch_id == first.segment.batch_id
+    refresher.run_once()
+    assert [s.fact_batch for s in refresher.lag_samples] == [1, 1]
+    refresher.run_once()
+    assert len(refresher.lag_samples) == 2
 
 
 def test_refresher_failure_keeps_previous_version(store, pipeline, tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
-"""Split planning, validation, transformation, and all-or-nothing loads."""
+"""Split planning, the split worker's validation and storage rows, and
+all-or-nothing loads."""
 
 import random
 
@@ -12,22 +13,28 @@ from eduwarehouse.etl import (
     EtlErrorReport,
     EtlPipeline,
     SplitConfig,
-    SplitRange,
-    _process_split,
-    extract,
     mapper_count,
     plan_splits,
     split_size,
-    transform,
 )
-from eduwarehouse.schema import TenantKey, builtin_schema
+from eduwarehouse.schema import (
+    DECIMAL,
+    DIMENSION_KEY,
+    INTEGER,
+    NATURAL_KEY,
+    REFERENCE,
+    TENANT_KEY,
+    TenantKey,
+    builtin_schema,
+)
 
-from conftest import DEMO_FACTS, PERF_HEADER, U1
+from conftest import DEMO_FACTS, PERF_HEADER, U1, process_whole_file
 
 KIB = 1024
 MIB = 1024 * KIB
 
-PERF = builtin_schema().tables["StudentPerformance"]
+SCHEMA = builtin_schema()
+PERF = SCHEMA.tables["StudentPerformance"]
 
 
 def _perf_csv(rows) -> str:
@@ -125,19 +132,15 @@ def test_plan_splits_long_record_swallows_boundary(tmp_path):
     assert sum(s.length for s in plan.splits) == p.stat().st_size
 
 
-# ---- extract / transform ----
-
-def _whole(path) -> SplitRange:
-    return SplitRange(str(path), 0, path.stat().st_size, 0)
-
+# ---- the split worker: validation and dual-key storage rows ----
 
 def test_extract_header_mismatch(tmp_path):
     p = tmp_path / "f.csv"
     p.write_text("wrong,header\ns1,CS101,T,R,1,2,A\n")
-    res = extract(_whole(p), PERF, U1)
-    assert res.records == []
-    assert res.errors[0].line_number == 1
-    assert res.errors[0].reason.startswith("header-mismatch")
+    rows, errors, _ = process_whole_file(p, PERF)
+    assert rows == []
+    assert errors[0].line_number == 1
+    assert errors[0].reason.startswith("header-mismatch")
 
 
 def test_extract_validation_reasons(tmp_path):
@@ -149,32 +152,32 @@ def test_extract_validation_reasons(tmp_path):
     ]
     p = tmp_path / "f.csv"
     p.write_text(_perf_csv(rows))
-    res = extract(_whole(p), PERF, U1)
-    assert [r.line_number for r in res.records] == [2]
-    got = {(e.line_number, e.reason) for e in res.errors}
+    stored, errors, _ = process_whole_file(p, PERF)
+    assert [r[PERF.storage_index("student_id")] for r in stored] == ["s1"]
+    got = {(e.line_number, e.reason) for e in errors}
     assert got == {
         (3, "arity: expected 7 fields, found 3"),
         (4, "not-numeric:marks"),
         (5, "reserved-value:course_code"),
     }
     # tenant key context is the first non-empty key field of the bad row
-    ctx = {e.line_number: e.tenant_key_value for e in res.errors}
+    ctx = {e.line_number: e.tenant_key_value for e in errors}
     assert ctx[4] == "s3"
 
 
 def test_extract_rejects_bad_encoding(tmp_path):
     p = tmp_path / "f.csv"
     p.write_bytes(PERF_HEADER.encode() + b"\ns1,CS101,T,FT,1,2,A\n\xff\xfe broken\n")
-    res = extract(_whole(p), PERF, U1)
-    assert any("encoding" in e.reason for e in res.errors)
+    _, errors, _ = process_whole_file(p, PERF)
+    assert any("encoding" in e.reason for e in errors)
 
 
 def test_transform_dual_key_storage(tmp_path):
     p = tmp_path / "f.csv"
     p.write_text(_perf_csv([("s1", "CS101", "T1", "FT", "50", "60", "A")]))
-    records, errors = transform(extract(_whole(p), PERF, U1).records, PERF, U1)
+    rows, errors, _ = process_whole_file(p, PERF)
     assert errors == []
-    row = dict(zip(PERF.storage_columns, records[0].fields))
+    row = dict(zip(PERF.storage_columns, rows[0]))
     assert row == {
         "university_key": "University1",
         "student_id": "s1",
@@ -195,59 +198,116 @@ def test_transform_rejects_empty_keys(tmp_path):
     p = tmp_path / "f.csv"
     p.write_text(_perf_csv([("", "CS101", "T1", "FT", "50", "60", "A"),
                             ("s2", "", "T1", "FT", "50", "60", "A")]))
-    records, errors = transform(extract(_whole(p), PERF, U1).records, PERF, U1)
-    assert records == []
+    rows, errors, _ = process_whole_file(p, PERF)
+    assert rows == []
     assert {(e.line_number, e.reason) for e in errors} == {
         (2, "empty-key:student_id"),
         (3, "empty-key:course_code"),
     }
 
 
-# ---- fused worker path equals the two-stage reference path ----
-
 def _messy_rows(rng, n):
-    rows = []
+    """(upload line, expected) pairs; expected is the stored row, or the
+    (key context, reason) the row's fault must be reported with."""
+    cases = []
     for i in range(n):
         kind = rng.randrange(6)
+        s, c, t, r = f"s{i}", f"CS{i % 7}", f"T{i % 3}", f"R{i % 2}"
         if kind == 0:
-            rows.append(f"s{i},CS{i % 7},T{i % 3},R{i % 2},bad,{i}.5,A")
+            cases.append((f"{s},{c},{t},{r},bad,{i}.5,A", (s, "not-numeric:marks")))
         elif kind == 1:
-            rows.append(f"s{i},CS{i % 7},T{i % 3}")
+            cases.append((f"{s},{c},{t}", (None, "arity: expected 7 fields, found 3")))
         elif kind == 2:
-            rows.append(f",CS{i % 7},T{i % 3},R{i % 2},{i},{i}.5,A")
+            cases.append((f",{c},{t},{r},{i},{i}.5,A", (c, "empty-key:student_id")))
         elif kind == 3:
-            rows.append(f"s{i},ALL,T{i % 3},R{i % 2},{i},{i}.5,A")
+            cases.append((f"{s},ALL,{t},{r},{i},{i}.5,A", (s, "reserved-value:course_code")))
         else:
-            rows.append(f"s{i},CS{i % 7},T{i % 3},R{i % 2},{i},{i}.5,B+")
-    return rows
+            stored = ["University1"]
+            for raw in (s, c, t, r):
+                stored += [raw, f"University1_{raw}"]
+            stored += [str(i), f"{i}.5", "B+"]
+            cases.append((f"{s},{c},{t},{r},{i},{i}.5,B+", stored))
+    return cases
 
 
-def test_fused_worker_matches_reference_pipeline(tmp_path):
+def test_worker_sorts_messy_rows_into_stored_rows_and_reasons(tmp_path):
     rng = random.Random(9)
 
     for trial in range(8):
+        cases = _messy_rows(rng, 60)
         p = tmp_path / f"m{trial}.csv"
-        p.write_text(PERF_HEADER + "\n" + "".join(r + "\n" for r in _messy_rows(rng, 60)))
-        split = _whole(p)
+        p.write_text(PERF_HEADER + "\n" + "".join(line + "\n" for line, _ in cases))
+        expected_rows = [want for _, want in cases if isinstance(want, list)]
+        expected_errors = [
+            (line_number, *want)
+            for line_number, (_, want) in enumerate(cases, start=2)
+            if isinstance(want, tuple)
+        ]
 
-        extracted = extract(split, PERF, U1)
-        records, terrors = transform(extracted.records, PERF, U1)
-        ref_lines = [",".join(r.fields) for r in records]
-        ref_errors = sorted(
-            [(e.line_number, e.tenant_key_value, e.reason)
-             for e in extracted.errors + terrors]
-        )
+        rows, errors, line_count = process_whole_file(p, PERF)
+        assert rows == expected_rows
+        assert [(e.line_number, e.tenant_key_value, e.reason) for e in errors] == expected_errors
+        assert line_count == 1 + len(cases)
 
-        out = tmp_path / f"m{trial}.out"
-        outcome = _process_split(split, PERF, U1, str(out))
-        fused = out.read_text().splitlines() if out.stat().st_size else []
-        fused_errors = sorted(
-            [(e.line_number, e.tenant_key_value, e.reason) for e in outcome.errors]
-        )
-        assert fused == ref_lines
-        assert fused_errors == ref_errors
-        assert outcome.record_count == len(ref_lines)
-        assert outcome.line_count == extracted.line_count
+
+# ---- the worker's storage rows against an oracle read off the catalog ----
+
+# no "A" or "L", so no field can be the reserved roll-up text "ALL"
+_TEXT_ALPHABET = "abcXYZ019 -.'%s%%\"\\\tüé_"
+
+
+def _oracle_storage_row(table, tenant, fields):
+    """Expected storage row of one valid upload row, built from the
+    catalog's attribute kinds alone: the tenant-key column holds the
+    tenant, a dimension key is the tenant-qualified natural key, a
+    reference is stored as its raw value then its qualified key, and every
+    other attribute is copied as uploaded."""
+    uploaded = dict(zip(table.upload_columns, fields))
+    row = []
+    for attr in table.attributes:
+        if attr.kind == TENANT_KEY:
+            row.append(tenant.value)
+        elif attr.kind == DIMENSION_KEY:
+            natural = next(a for a in table.attributes if a.kind == NATURAL_KEY)
+            row.append(f"{tenant.value}_{uploaded[natural.name]}")
+        elif attr.kind == REFERENCE:
+            raw = uploaded[attr.raw_name]
+            row += [raw, f"{tenant.value}_{raw}"]
+        else:
+            row.append(uploaded[attr.name])
+    return row
+
+
+def _valid_upload_row(table, rng):
+    fields = []
+    for attr in table.attributes:
+        if attr.kind in (TENANT_KEY, DIMENSION_KEY):
+            continue
+        if attr.value_class == INTEGER:
+            fields.append(str(rng.randint(-10**6, 10**6)))
+        elif attr.value_class == DECIMAL:
+            fields.append(f"{rng.uniform(-1e4, 1e4):.{rng.randrange(4)}f}")
+        else:
+            is_key = attr.kind in (NATURAL_KEY, REFERENCE)
+            fields.append("".join(rng.choices(_TEXT_ALPHABET, k=rng.randint(int(is_key), 8))))
+    return fields
+
+
+@pytest.mark.parametrize("tenant", [U1, TenantKey("U%s1")], ids=lambda t: t.value)
+@pytest.mark.parametrize("table_name", sorted(SCHEMA.tables))
+def test_stored_rows_match_catalog_oracle(tmp_path, table_name, tenant):
+    table = SCHEMA.tables[table_name]
+    rng = random.Random(table_name)
+    uploads = [_valid_upload_row(table, rng) for _ in range(200)]
+    p = tmp_path / "upload.csv"
+    p.write_text(
+        table.upload_header + "\n" + "".join(",".join(f) + "\n" for f in uploads),
+        encoding="utf-8",
+    )
+    rows, errors, line_count = process_whole_file(p, table, tenant)
+    assert errors == []
+    assert line_count == 1 + len(uploads)
+    assert rows == [_oracle_storage_row(table, tenant, f) for f in uploads]
 
 
 # field values that survive a CSV round trip unchanged
@@ -265,16 +325,15 @@ _field = st.text(
     grade=_field,
 )
 def test_storage_row_roundtrip(tmp_path_factory, key, course, time, reg, marks, att, grade):
-    """Any shape-valid upload row survives extract+transform into exactly
-    one storage row whose raw columns echo the input."""
+    """Any shape-valid upload row becomes exactly one storage row whose raw
+    columns echo the input."""
     tmp = tmp_path_factory.mktemp("roundtrip")
     p = tmp / "f.csv"
     p.write_text(_perf_csv([(key, course, time, reg, marks, att, grade)]))
-    extracted = extract(_whole(p), PERF, U1)
-    assert [e.reason for e in extracted.errors] == []
-    records, errors = transform(extracted.records, PERF, U1)
-    assert errors == []
-    row = dict(zip(PERF.storage_columns, records[0].fields))
+    rows, errors, _ = process_whole_file(p, PERF)
+    assert [e.reason for e in errors] == []
+    assert len(rows) == 1
+    row = dict(zip(PERF.storage_columns, rows[0]))
     assert (row["student_id"], row["course_code"], row["time_code"],
             row["regtype_code"], row["marks"], row["percent_attended"],
             row["grade"]) == (key, course, time, reg, marks, att, grade)

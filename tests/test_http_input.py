@@ -2,6 +2,10 @@
 
 import http.client
 import json
+import logging
+import socket
+import struct
+import time
 from contextlib import contextmanager
 
 import pytest
@@ -115,3 +119,25 @@ def test_text_response_announces_a_close(tmp_path, fmt):
             resp.read()
         finally:
             conn.close()
+
+
+def test_client_reset_is_logged_not_printed(address, caplog, capfd):
+    caplog.set_level(logging.DEBUG, logger="eduwarehouse.service")
+    conn = http.client.HTTPConnection(*address, timeout=5)
+    conn.request("GET", "/reports", headers={"Authorization": f"Bearer {_token(address)}"})
+    resp = conn.getresponse()
+    assert resp.status == 200, resp.read()
+    resp.read()
+    # close the kept-alive connection with a reset while the server waits
+    # for its next request line
+    conn.sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    conn.close()
+
+    def dropped():
+        return [r for r in caplog.records if "dropped" in r.getMessage()]
+
+    deadline = time.monotonic() + 2
+    while not dropped() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert [r.levelno for r in dropped()] == [logging.DEBUG]
+    assert "Traceback" not in capfd.readouterr().err

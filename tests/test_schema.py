@@ -3,7 +3,6 @@
 import pytest
 
 from eduwarehouse.errors import ValidationError
-from eduwarehouse.etl import Record, transform
 from eduwarehouse.schema import (
     RESERVED_ROLLUP_TEXT,
     TenantKey,
@@ -11,6 +10,8 @@ from eduwarehouse.schema import (
     render_schema_reference,
     upload_rules,
 )
+
+from conftest import process_whole_file
 
 DIMENSIONS = [
     "Universities", "Students", "Teachers", "Courses",
@@ -35,13 +36,14 @@ def test_snowflake_chain():
     assert [r.referenced_table for r in refs] == ["Departments"]
 
 
-def test_qualify_key():
-    # the ETL transform prefixes each natural key with the tenant key
+def test_qualify_key(tmp_path):
+    # the ETL worker prefixes each natural key with the tenant key
     students = builtin_schema().tables["Students"]
-    out, errors = transform([Record(2, ["student1", "Ann"])], students,
-                            TenantKey("university1"))
+    path = tmp_path / "students.csv"
+    path.write_text(students.upload_header + "\nstudent1,Ann\n")
+    rows, errors, _ = process_whole_file(path, students, TenantKey("university1"))
     assert errors == []
-    assert out[0].fields == ["university1_student1", "student1", "Ann"]
+    assert rows[0] == ["university1_student1", "student1", "Ann"]
 
 
 def test_tenant_key_rejects_bad_values():

@@ -1,9 +1,9 @@
-"""One set of upload-row rules: the shape rule, the two-stage
-extract/transform path and the fused pipeline worker agree on every table."""
+"""One set of upload-row rules: the shape rule and the pipeline's split
+worker agree on every table."""
 
 import pytest
 
-from eduwarehouse.etl import EtlPipeline, SplitConfig, SplitRange, extract, transform
+from eduwarehouse.etl import EtlPipeline, SplitConfig
 from eduwarehouse.schema import (
     CODE,
     DECIMAL,
@@ -80,18 +80,12 @@ def test_every_caller_reports_the_same_first_fault(table_name, store, tmp_path):
         table.upload_header + "\n" + "".join(",".join(f) + "\n" for f, _ in cases)
     )
 
-    # fused worker, through the whole pipeline; data rows start at line 2
+    # the whole pipeline; data rows start at line 2
     result = EtlPipeline(store, SplitConfig(1, 1 << 28, 1 << 20), 1).run(path, table_name, U1)
-    fused = {e.line_number: e.reason for e in result.report.entries}
-
-    # two-stage reference path
-    extracted = extract(SplitRange(str(path), 0, path.stat().st_size, 0), table, U1)
-    _, terrors = transform(extracted.records, table, U1)
-    staged = {e.line_number: e.reason for e in extracted.errors + terrors}
+    reported = {e.line_number: e.reason for e in result.report.entries}
 
     for line, (fields, expected) in enumerate(cases, start=2):
-        assert fused.get(line) == expected, (line, fields)
-        assert staged.get(line) == expected, (line, fields)
+        assert reported.get(line) == expected, (line, fields)
         shape = upload_rules(table).shape(fields)
         # empty keys are the empty_key rule's, checked after shape
         if expected is None or expected.startswith("empty-key:"):
