@@ -192,7 +192,8 @@ class CubeBuildSummary:
     rows_excluded: int
     cube_rows: int
     build_seconds: float
-    fact_batches: tuple[int, ...]
+    # (batch_id, st_ctime_ns) of each fact segment the build read
+    fact_batches: tuple[tuple[int, int], ...]
 
     def to_report(self) -> str:
         lines = [
@@ -202,7 +203,7 @@ class CubeBuildSummary:
             f"rows_excluded: {self.rows_excluded}",
             f"cube_rows: {self.cube_rows}",
             f"build_seconds: {self.build_seconds:.3f}",
-            f"fact_batches: {','.join(str(b) for b in self.fact_batches) or '-'}",
+            f"fact_batches: {','.join(str(b) for b, _ in self.fact_batches) or '-'}",
         ]
         return "\n".join(lines) + "\n"
 
@@ -227,24 +228,34 @@ class CubeEngine:
         self.store = store
 
     def _attr_sources(self, spec: CubeSpec, fact: TableDef):
-        """Resolve each cube attribute to a fact column or a declared join."""
+        """Resolve each cube attribute to a fact column or a declared join.
+
+        Returns ``plain`` (fact column, slot) pairs and ``joined`` (fact
+        reference column, slot, join map) triples.  Each joined dimension
+        is listed once, and its join maps read that listing.
+        """
         joins = {j.attribute: j for j in spec.dimension_joins}
         fact_cols = fact.storage_columns
-        sources = []
-        for attr in spec.cube_attrs:
+        plain, joined, listings = [], [], {}
+        for slot, attr in enumerate(spec.cube_attrs):
             if attr in joins:
                 join = joins[attr]
-                sources.append(("join", fact_cols.index(join.reference), join))
+                if join.dimension not in listings:
+                    listings[join.dimension] = self.store.segments(join.dimension)
+                mapping = self._join_map(join, fact, listings[join.dimension])
+                joined.append((fact_cols.index(join.reference), slot, mapping))
             elif attr in fact_cols:
-                sources.append(("fact", fact_cols.index(attr), None))
+                plain.append((fact_cols.index(attr), slot))
             else:
                 raise ValidationError(
                     f"cube attribute {attr!r} is neither a {spec.fact} column "
                     f"nor a declared dimension join"
                 )
-        return sources
+        return plain, joined
 
-    def _join_map(self, join: DimensionJoin, fact: TableDef) -> dict[str, str]:
+    def _join_map(
+        self, join: DimensionJoin, fact: TableDef, segments: list[Segment]
+    ) -> dict[str, str]:
         ref = fact.attribute(join.reference)
         if ref.referenced_table != join.dimension:
             raise ValidationError(
@@ -255,14 +266,18 @@ class CubeEngine:
             raise StorageError(f"dimension table {join.dimension!r} missing")
         key_idx = dim.storage_index(dim.natural_key[0])
         value_idx = dim.storage_index(join.attribute)
-        return {row[key_idx]: row[value_idx] for row in self.store.scan(join.dimension)}
+        return {
+            row[key_idx]: row[value_idx] for row in self.store.scan(join.dimension, segments)
+        }
 
     def build(self, spec: CubeSpec) -> CubeBuildSummary:
         """Materialize all 2^k groupings of spec's fact into cube_<name>.
 
         Fact rows whose qualified references do not resolve to a dimension
         row (or whose measures fail to parse, which ETL should have made
-        impossible) are excluded and counted, never errored.
+        impossible) are excluded and counted, never errored.  The fact table
+        and each joined dimension are listed once; the scans read those
+        listings and nothing committed later.
         """
         t_start = time.perf_counter()
         fact = self.store.schema.tables.get(spec.fact)
@@ -273,12 +288,7 @@ class CubeEngine:
             mand_idx = tuple(fact_cols.index(c) for c in spec.mandatory_keys)
         except ValueError as exc:
             raise ValidationError(f"mandatory key not on {spec.fact}: {exc}") from None
-        sources = self._attr_sources(spec, fact)
-        join_maps = {
-            id(join): self._join_map(join, fact)
-            for kind, _, join in sources
-            if kind == "join"
-        }
+        plain, joined = self._attr_sources(spec, fact)
         agg_idx = []
         agg_is_int = []
         for agg in spec.aggregates:
@@ -288,11 +298,13 @@ class CubeEngine:
             agg_idx.append(fact.storage_index(agg.source))
             agg_is_int.append(attr.value_class == INTEGER)
 
-        fact_batches = tuple(s.batch_id for s in self.store.segments(spec.fact))
+        # the one fact listing: what the build reads is what its summary names
+        fact_segments = self.store.segments(spec.fact)
+        fact_batches = tuple((s.batch_id, s.path.stat().st_ctime_ns) for s in fact_segments)
         n_aggs = len(spec.aggregates)
 
         finest, rows_scanned, rows_excluded = self._accumulate(
-            spec, sources, join_maps, mand_idx, agg_idx, agg_is_int, n_aggs
+            spec, fact_segments, plain, joined, mand_idx, agg_idx, agg_is_int, n_aggs
         )
         groups: dict = {}
         for mask, present in enumerate(_masked_indexes(spec.k)):
@@ -314,8 +326,9 @@ class CubeEngine:
         )
         return summary
 
-    def _accumulate(self, spec, sources, join_maps, mand_idx, agg_idx, agg_is_int, n_aggs):
-        """Aggregate the deduped fact stream at the finest grouping.
+    def _accumulate(self, spec, fact_segments, plain, joined, mand_idx, agg_idx,
+                    agg_is_int, n_aggs):
+        """Aggregate the deduped rows of ``fact_segments`` at the finest grouping.
 
         Returns {(mandatory, attrs): [support, sum0, count0, ...]} with every
         cube attribute present, plus the scanned and excluded row counts.
@@ -324,16 +337,8 @@ class CubeEngine:
         rows_scanned = 0
         rows_excluded = 0
         acc_len = 1 + 2 * n_aggs
-        plain = [
-            (idx, i) for i, (kind, idx, _) in enumerate(sources) if kind == "fact"
-        ]
-        joined = [
-            (idx, i, join_maps[id(join)])
-            for i, (kind, idx, join) in enumerate(sources)
-            if kind == "join"
-        ]
         attr_slots: list = [None] * spec.k
-        for fields in self.store.scan(spec.fact):
+        for fields in self.store.scan(spec.fact, fact_segments):
             rows_scanned += 1
             for idx, slot in plain:
                 attr_slots[slot] = fields[idx]
@@ -463,9 +468,10 @@ class CubeRefresher:
     Each rebuild replaces the cube atomically (readers see the old version
     until the new segment commits); a failed rebuild leaves the previous
     version in place.  Records, per fact batch, how long it took until a
-    cube containing that batch became visible.  A batch is identified by its
-    id and its segment's ctime, since a dropped batch's id is reused by the
-    next upload; only the identities in each cube's latest build are kept.
+    cube containing that batch became visible, taking the batches from the
+    build's summary alone.  A batch is identified by its id and its
+    segment's ctime, since a dropped batch's id is reused by the next
+    upload; only the identities in each cube's latest build are kept.
     """
 
     def __init__(self, engine: CubeEngine, specs, interval: float):
@@ -482,19 +488,13 @@ class CubeRefresher:
     def run_once(self) -> list[CubeBuildSummary]:
         summaries = []
         for spec in self.specs:
-            committed_ns = {
-                s.batch_id: s.path.stat().st_ctime_ns
-                for s in self.engine.store.segments(spec.fact)
-            }
             try:
                 summary = self.engine.build(spec)
             except Exception:
                 logger.exception("cube %s rebuild failed; previous version kept", spec.name)
                 continue
             visible_at = time.time()
-            covered = {
-                (b, committed_ns[b]) for b in summary.fact_batches if b in committed_ns
-            }
+            covered = set(summary.fact_batches)
             seen = self._covered.get(spec.name, set())
             for batch_id, ctime_ns in sorted(covered - seen):
                 self.lag_samples.append(

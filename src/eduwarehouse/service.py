@@ -27,7 +27,7 @@ from urllib.parse import parse_qsl, urlsplit
 from .errors import AuthenticationError, StorageError, ValidationError
 from .schema import builtin_schema
 from .store import SegmentStore
-from .etl import MODES, EtlPipeline
+from .etl import EtlPipeline
 from .cube import CubeEngine, CubeRefresher, builtin_cube_specs
 from .olap import QueryEngine
 from .auth import SessionManager, TenantRegistry, authenticate
@@ -100,28 +100,47 @@ class _Handler(BaseHTTPRequestHandler):
             return None
         return self.svc.sessions.resolve(token.strip())
 
-    def _read_body(self, limit: int) -> bytes | None:
-        # a refused body stays unread and would be parsed as the next
-        # request, so every refusal closes the connection
+    def _body_refusal(self) -> tuple[int, dict] | None:
+        """The answer that refuses this request's body unread, if any.
+
+        Each route has one body limit: the configured ``upload_limit`` for
+        ``/upload``, a small fixed one for everything else.
+        """
         length = self.headers.get("Content-Length")
         if length is None:
-            self.close_connection = True
-            self._send(411, {"error": "Content-Length required"})
-            return None
+            return 411, {"error": "Content-Length required"}
         if not (length.isascii() and length.isdigit()):
-            self.close_connection = True
-            self._send(400, {"error": "Content-Length must be a non-negative integer"})
-            return None
-        length = int(length)
-        if length > limit:
-            self.close_connection = True
-            self._send(
-                413,
-                {"error": f"upload exceeds the configured limit of {limit} bytes",
-                 "upload_limit": limit},
-            )
-            return None
-        return self.rfile.read(length)
+            return 400, {"error": "Content-Length must be a non-negative integer"}
+        if urlsplit(self.path).path == "/upload":
+            limit = self.svc.config.upload_limit
+        else:
+            limit = _MAX_AUTH_BODY
+        if int(length) > limit:
+            return 413, {"error": f"upload exceeds the configured limit of {limit} bytes",
+                         "upload_limit": limit}
+        return None
+
+    def handle_expect_100(self) -> bool:
+        # invite the body only when it will be read; otherwise do_POST
+        # answers the refusal straight away (RFC 9110 §10.1.1)
+        if self._body_refusal() is None:
+            return super().handle_expect_100()
+        return True
+
+    def _read_body(self) -> bytes | None:
+        # a refused body stays unread and would be parsed as the next
+        # request, and a short one is an incomplete message, so each
+        # refusal closes the connection
+        refusal = self._body_refusal()
+        if refusal is None:
+            length = int(self.headers["Content-Length"])
+            raw = self.rfile.read(length)
+            if len(raw) == length:
+                return raw
+            refusal = 400, {"error": f"body ended after {len(raw)} of {length} bytes"}
+        self.close_connection = True
+        self._send(*refusal)
+        return None
 
     # ---- routes ----
 
@@ -161,7 +180,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(500, {"error": "internal error"})
 
     def _post_auth(self) -> None:
-        raw = self._read_body(_MAX_AUTH_BODY)
+        raw = self._read_body()
         if raw is None:
             return
         try:
@@ -190,11 +209,7 @@ class _Handler(BaseHTTPRequestHandler):
         if table not in self.svc.store.schema.tables:
             self._send(400, {"error": f"unknown table {table!r}"})
             return
-        mode = params.get("mode", "case2")
-        if mode not in MODES:
-            self._send(400, {"error": f"unknown mode {mode!r}"})
-            return
-        raw = self._read_body(self.svc.config.upload_limit)
+        raw = self._read_body()
         if raw is None:
             return
         content_type = self.headers.get("Content-Type", "")
@@ -206,7 +221,7 @@ class _Handler(BaseHTTPRequestHandler):
         staged = self.svc.store.staging_path(f"upload_{uuid.uuid4().hex}.csv")
         staged.write_bytes(raw)
         try:
-            result = self.svc.pipeline.run(staged, table, ctx.university_key, mode)
+            result = self.svc.pipeline.run(staged, table, ctx.university_key)
         finally:
             staged.unlink(missing_ok=True)
         payload = {

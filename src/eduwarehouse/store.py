@@ -3,8 +3,9 @@
 Layout: ``<warehouse_root>/<table>/<batch_id>.seg``.  A segment is an
 immutable, headerless CSV file (UTF-8, LF); committing one is a hard-link +
 unlink of the staged file, so its cost does not depend on row count.
-Duplicates are tolerated at rest and discarded at read time: with dedupe on,
-the record from the highest batch id wins per natural key.
+Duplicates are tolerated at rest and discarded at read time: a scan keeps,
+per natural key, the record from the highest batch id of the listing it is
+given.
 """
 
 from __future__ import annotations
@@ -150,28 +151,19 @@ class SegmentStore:
             raise StorageError(f"{table} has no batch {batch_id}")
         path.unlink()
 
-    def _natural_key_indexes(self, table: str) -> tuple[int, ...]:
+    def scan(self, table: str, segments: list[Segment]) -> Iterator[list[str]]:
+        """Stream the deduped rows of ``segments``, a listing of ``table``.
+
+        The caller takes the listing (with ``segments``, ascending batch
+        ids), so what it names is exactly what is read; a batch committed
+        after it is not seen.  Rows sharing a natural key collapse to the one
+        from the highest batch id.  Stream order is unspecified but
+        deterministic for a fixed listing.
+        """
         table_def = self.schema.tables.get(table)
         if table_def is None:
-            raise ValidationError(
-                f"table {table!r} is not in the catalog; scan it with dedupe off"
-            )
-        cols = table_def.storage_columns
-        return tuple(cols.index(c) for c in table_def.natural_key)
-
-    def scan(self, table: str, dedupe: bool = True) -> Iterator[list[str]]:
-        """Stream stored rows as storage-ordered field lists.
-
-        With dedupe on, rows sharing a natural key collapse to the one from
-        the highest batch id.  Stream order is unspecified but deterministic
-        for a fixed set of segments.
-        """
-        segments = self.segments(table)
-        if not dedupe:
-            for seg in segments:
-                yield from self.read_segment(seg)
-            return
-        key_idx = self._natural_key_indexes(table)
+            raise ValidationError(f"table {table!r} is not in the catalog")
+        key_idx = tuple(table_def.storage_index(c) for c in table_def.natural_key)
         seen: set[tuple[str, ...]] = set()
         for seg in reversed(segments):
             for fields in self.read_segment(seg):

@@ -24,9 +24,36 @@ from eduwarehouse.cube import (
 from eduwarehouse.etl import EtlPipeline, SplitConfig
 from eduwarehouse.olap import QueryEngine, TenantContext
 
-from conftest import DIM_UPLOADS, PERF_HEADER, U1, U2, ingest_demo_fixture, ingest_text
+from conftest import (
+    DEMO_FACTS, DIM_UPLOADS, PERF_HEADER, U1, U2, ingest_demo_fixture, ingest_text,
+)
 
 SPEC = builtin_cube_specs()["student_performance"]
+
+# the demo facts re-uploaded with 10 more marks each: same natural keys
+REMARKED_TEXT = PERF_HEADER + "\n" + "".join(
+    f"{sid},{course},{term},{reg},{int(marks) + 10},{att},{grade}\n"
+    for sid, course, term, reg, marks, att, grade in DEMO_FACTS
+)
+
+
+def _commit_after_first_listing(monkeypatch, store, table, commit):
+    """Run ``commit`` right after the first listing of ``table`` is taken."""
+    real = store.segments
+    pending = [commit]
+
+    def segments(name):
+        listing = real(name)
+        if name == table and pending:
+            pending.pop()()
+        return listing
+
+    monkeypatch.setattr(store, "segments", segments)
+
+
+def _total_marks(store):
+    [row] = QueryEngine(store).query_cube(TenantContext(U1, "t"), "student_performance", {0})
+    return row.sums[0], row.counts[0]
 
 
 # ---- grouping_id ----
@@ -213,6 +240,25 @@ def test_rollup_members_sum_to_super_aggregate(store, pipeline, tmp_path):
         assert got == {k: (v[0], v[1]) for k, v in members.items()}
 
 
+def test_build_reads_and_names_only_its_own_fact_listing(
+    store, pipeline, tmp_path, monkeypatch
+):
+    ingest_demo_fixture(pipeline, tmp_path)
+    engine = CubeEngine(store)
+    _commit_after_first_listing(
+        monkeypatch, store, "StudentPerformance",
+        lambda: ingest_text(pipeline, tmp_path, "StudentPerformance", REMARKED_TEXT),
+    )
+    summary = engine.build(SPEC)
+    # batch 2 landed after the build's listing: neither aggregated nor named
+    assert _total_marks(store) == (424, 6)
+    assert "fact_batches: 1\n" in summary.to_report()
+    summary = engine.build(SPEC)
+    assert _total_marks(store) == (484, 6)
+    assert "fact_batches: 1,2\n" in summary.to_report()
+    assert [b for b, _ in summary.fact_batches] == [1, 2]
+
+
 def test_unresolved_dimension_reference_is_excluded(store, pipeline, tmp_path):
     facts = [("s1", "CS101", "2016-17-SPR", "FT", "80", "95", "A"),
              ("s2", "NOPE999", "2016-17-SPR", "FT", "70", "95", "A")]
@@ -318,6 +364,23 @@ def test_refresher_samples_a_batch_replaced_between_refreshes(store, pipeline, t
     assert [s.fact_batch for s in refresher.lag_samples] == [1, 1]
     refresher.run_once()
     assert len(refresher.lag_samples) == 2
+
+
+def test_refresher_samples_every_batch_of_the_build_it_ran(
+    store, pipeline, tmp_path, monkeypatch
+):
+    ingest_demo_fixture(pipeline, tmp_path)
+    refresher = CubeRefresher(CubeEngine(store), [SPEC], interval=3600)
+    _commit_after_first_listing(
+        monkeypatch, store, "StudentPerformance",
+        lambda: ingest_text(pipeline, tmp_path, "StudentPerformance", REMARKED_TEXT),
+    )
+    for expected in ("1", "1,2"):
+        [summary] = refresher.run_once()
+        named = summary.to_report().rsplit("fact_batches: ", 1)[1].strip()
+        # each batch the pass's build read has its sample by the pass's end
+        assert ",".join(str(s.fact_batch) for s in refresher.lag_samples) == named
+        assert named == expected
 
 
 def test_refresher_failure_keeps_previous_version(store, pipeline, tmp_path, monkeypatch):

@@ -16,7 +16,7 @@ from eduwarehouse.schema import builtin_schema
 from eduwarehouse.service import ServiceThread
 from eduwarehouse.store import SegmentStore
 
-from conftest import DEMO_TERM, U1, ingest_demo_fixture
+from conftest import DEMO_TERM, DIM_UPLOADS, U1, ingest_demo_fixture
 
 
 @contextmanager
@@ -72,6 +72,30 @@ def test_bad_content_length_is_400(address, path, length):
     assert _token(address)
 
 
+def _upload_head(token, length, expect=False):
+    """Request line and headers of a raw Regtypes upload."""
+    head = (f"POST /upload?table=Regtypes HTTP/1.1\r\nHost: eduwh\r\n"
+            f"Authorization: Bearer {token}\r\nContent-Length: {length}\r\n")
+    if expect:
+        head += "Expect: 100-continue\r\n"
+    return (head + "\r\n").encode()
+
+
+def test_short_upload_body_is_refused_and_not_committed(tmp_path):
+    with _serving(tmp_path) as st:
+        token = _token(st.address)
+        body = DIM_UPLOADS["Regtypes"].encode()
+        cut = body[: body.index(b"\n", body.index(b"\n") + 1) + 1]  # header + 1 of 3 rows
+        with socket.create_connection(st.address, timeout=5) as sock:
+            sock.sendall(_upload_head(token, len(body)) + cut)
+            sock.shutdown(socket.SHUT_WR)  # the client stops short of its length
+            reply = sock.makefile("rb").read()
+        assert reply.startswith(b"HTTP/1.1 400 "), reply
+        assert f"body ended after {len(cut)} of {len(body)} bytes".encode() in reply
+        assert st.service.store.segments("Regtypes") == []
+        assert list(st.service.store.staging_path("x").parent.iterdir()) == []
+
+
 @pytest.fixture
 def small_limit_address(tmp_path):
     with _serving(tmp_path, upload_limit=1024) as st:
@@ -99,6 +123,29 @@ def test_refused_body_is_not_read_as_the_next_request(small_limit_address, lengt
         assert resp.status == 200, resp.read()
     finally:
         conn.close()
+
+
+@pytest.mark.parametrize("length, status", [("4000000", b"413"), ("4e6", b"400")])
+def test_refused_expect_100_body_is_not_invited(small_limit_address, length, status):
+    token = _token(small_limit_address)
+    with socket.create_connection(small_limit_address, timeout=5) as sock:
+        sock.sendall(_upload_head(token, length, expect=True))
+        reply = sock.makefile("rb")
+        # the refusal is the first status line; the server then closes
+        assert reply.readline().startswith(b"HTTP/1.1 " + status + b" ")
+        assert b"100 Continue" not in reply.read()
+
+
+def test_accepted_expect_100_body_is_invited(address):
+    token = _token(address)
+    body = DIM_UPLOADS["Regtypes"].encode()
+    with socket.create_connection(address, timeout=5) as sock:
+        sock.sendall(_upload_head(token, len(body), expect=True))
+        reply = sock.makefile("rb")
+        assert reply.readline() == b"HTTP/1.1 100 Continue\r\n"
+        assert reply.readline() == b"\r\n"
+        sock.sendall(body)
+        assert reply.readline().startswith(b"HTTP/1.1 200 ")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "table"])

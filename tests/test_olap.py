@@ -279,7 +279,7 @@ def test_report_matches_raw_scan_oracle(store, pipeline, tmp_path):
     sums: dict[str, float] = {}
     counts: dict[str, int] = {}
     total, n = 0.0, 0
-    for fields in store.scan("StudentPerformance"):
+    for fields in store.scan("StudentPerformance", store.segments("StudentPerformance")):
         if fields[0] != "University1" or fields[5] != DEMO_TERM:
             continue
         reg = fields[7]

@@ -185,7 +185,6 @@ def test_upload_validation_errors(service):
     token = _login(base, "uni1", "pw-one")
     assert _request(base, "/upload", b"x", token=token)[0] == 400
     assert _request(base, "/upload?table=Nope", b"x", token=token)[0] == 400
-    assert _request(base, "/upload?table=Times&mode=case9", b"x", token=token)[0] == 400
 
 
 def test_oversize_upload_rejected_with_limit(service):

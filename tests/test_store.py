@@ -14,6 +14,15 @@ def _stage(store: SegmentStore, name: str, text: str):
     return path
 
 
+def _scan(store: SegmentStore, table: str) -> list[list[str]]:
+    return list(store.scan(table, store.segments(table)))
+
+
+def _raw(store: SegmentStore, table: str) -> list[list[str]]:
+    """Every stored row of every segment, no dedupe."""
+    return [row for seg in store.segments(table) for row in store.read_segment(seg)]
+
+
 def _dir_snapshot(store: SegmentStore, table: str) -> dict:
     seg_dir = store.root / table
     if not seg_dir.is_dir():
@@ -31,7 +40,7 @@ def test_commit_and_scan_roundtrip(store):
     seg = store.commit_batch("Departments", staged, row_count=1)
     assert seg.batch_id == 1 and seg.row_count == 1
     assert not staged.exists(), "staged file must be consumed by the commit"
-    got = list(store.scan("Departments"))
+    got = _scan(store, "Departments")
     assert got == [r.split(",") for r in _rows]
 
 
@@ -45,7 +54,7 @@ def test_commit_empty_batch(store):
     staged = _stage(store, "a", "")
     seg = store.commit_batch("Departments", staged, row_count=0)
     assert seg.row_count == 0
-    assert list(store.scan("Departments")) == []
+    assert _scan(store, "Departments") == []
 
 
 def test_commit_missing_staged_file(store):
@@ -68,17 +77,17 @@ def test_dedupe_keeps_latest_batch(store):
     s2 = _stage(store, "b", f"{key},DEP01,New name\n")
     store.commit_batch("Departments", s1, row_count=1)
     store.commit_batch("Departments", s2, row_count=1)
-    rows = list(store.scan("Departments", dedupe=True))
+    rows = _scan(store, "Departments")
     assert len(rows) == 1 and rows[0][-1] == "New name"
-    raw = list(store.scan("Departments", dedupe=False))
+    raw = _raw(store, "Departments")
     assert len(raw) == 2
 
 
 def test_dedupe_no_duplicates_is_identity(store):
     text = "".join(f"University1_DEP{i:02d},DEP{i:02d},D{i}\n" for i in range(5))
     store.commit_batch("Departments", _stage(store, "a", text), row_count=5)
-    on = sorted(map(tuple, store.scan("Departments", dedupe=True)))
-    off = sorted(map(tuple, store.scan("Departments", dedupe=False)))
+    on = sorted(map(tuple, _scan(store, "Departments")))
+    off = sorted(map(tuple, _raw(store, "Departments")))
     assert on == off
 
 
@@ -87,7 +96,7 @@ def test_union_counts_without_dedupe(store):
     b = "".join(f"University1_B{i},B{i},x\n" for i in range(4))
     store.commit_batch("Departments", _stage(store, "a", a), row_count=3)
     store.commit_batch("Departments", _stage(store, "b", b), row_count=4)
-    assert len(list(store.scan("Departments", dedupe=False))) == 7
+    assert len(_raw(store, "Departments")) == 7
 
 
 def test_drop_batch(store):
@@ -97,7 +106,7 @@ def test_drop_batch(store):
     store.drop_batch("Departments", 2)
     ids = [s.batch_id for s in store.segments("Departments")]
     assert ids == [1, 3]
-    keys = {r[1] for r in store.scan("Departments")}
+    keys = {r[1] for r in _scan(store, "Departments")}
     assert keys == {"D0", "D2"}
 
 
@@ -133,9 +142,20 @@ def test_commit_failure_leaves_state_unchanged(store, monkeypatch):
     assert seg.batch_id == 2
 
 
-def test_scan_unknown_table_needs_dedupe_off(store):
-    with pytest.raises(ValidationError):
-        list(store.scan("NotATable"))
+def test_scan_unknown_table_is_refused(store):
+    with pytest.raises(ValidationError, match="not in the catalog"):
+        list(store.scan("NotATable", []))
+
+
+def test_scan_reads_only_the_listing_it_is_given(store):
+    store.commit_batch("Departments", _stage(store, "a", "University1_D1,D1,old\n"), 1)
+    listing = store.segments("Departments")
+    later = "University1_D1,D1,new\nUniversity1_D2,D2,x\n"
+    store.commit_batch("Departments", _stage(store, "b", later), 2)
+    assert list(store.scan("Departments", listing)) == [["University1_D1", "D1", "old"]]
+    assert sorted(_scan(store, "Departments")) == [
+        ["University1_D1", "D1", "new"], ["University1_D2", "D2", "x"]
+    ]
 
 
 def test_read_segment_streams_raw_rows(store):
