@@ -12,6 +12,11 @@ Aggregates carry (sum, count) accumulators beside the mean.  A build
 aggregates each fact row once, at the finest grouping, and rolls every
 coarser grouping up from those groups by adding accumulators; built cubes
 are immutable and a rebuild replaces the previous version atomically.
+
+A cube segment holds its rows grouped by tenant, in ascending university_key
+order (Python ``str`` order, which is UTF-8 byte order), so ``tenant_range``
+finds one tenant's rows as a single byte range by binary search over line
+starts.  The file carries no index: every line is one cube row.
 """
 
 from __future__ import annotations
@@ -170,6 +175,42 @@ def parse_cube_row(spec: CubeSpec, fields: list[str]) -> CubeRow:
         means.append(float(fields[base + 3 * i + 2]))
     support = int(fields[base + 3 * len(spec.aggregates)])
     return CubeRow(mask, mandatory, tuple(attrs), tuple(sums), tuple(counts), tuple(means), support)
+
+
+def tenant_range(fh, spec: CubeSpec, tenant: str) -> tuple[int, int]:
+    """The ``[start, end)`` byte range of ``tenant``'s rows in a cube segment.
+
+    ``fh`` is the segment open in binary mode.  CubeEngine writes the rows
+    sorted by university_key in ``str`` order, which is the UTF-8 byte order
+    compared here; each bound is found by binary search over line starts.
+    """
+    col = cube_columns(spec).index("university_key")
+    key = tenant.encode("utf-8")
+    size = fh.seek(0, 2)
+
+    def first_line(lo: int, past: bool) -> int:
+        # first line start whose tenant is >= key (> key when past)
+        hi = size  # lo and hi are line starts; the answer lies in [lo, hi]
+        while lo < hi:
+            mid = (lo + hi) // 2
+            start = lo
+            if mid > lo:
+                fh.seek(mid - 1)
+                fh.readline()  # skip to the first line start >= mid
+                start = fh.tell()
+                if start >= hi:
+                    start = lo
+            fh.seek(start)
+            line = fh.readline()
+            found = line.split(b",", col + 1)[col]
+            if found < key or (past and found == key):
+                lo = start + len(line)
+            else:
+                hi = start
+        return lo
+
+    start = first_line(0, False)
+    return start, first_line(start, True)
 
 
 def merge_accumulators(a: list, b: list) -> list:
@@ -372,12 +413,19 @@ class CubeEngine:
         return finest, rows_scanned, rows_excluded
 
     def _persist(self, spec: CubeSpec, groups: dict, n_aggs: int) -> Segment:
+        """Write the groups as the cube's next version and drop older ones.
+
+        Rows are sorted by tenant, the order ``tenant_range`` searches; the
+        sort is stable, so rows keep the build's order within a tenant.
+        """
         k = spec.k
         masks = _masked_indexes(k)
+        tenant_at = spec.mandatory_keys.index("university_key")
+        by_tenant = sorted(groups.items(), key=lambda item: item[0][1][tenant_at])
         stem = uuid.uuid4().hex
         staged = self.store.staging_path(f"{stem}.cube")
         with open(staged, "w", encoding="utf-8", newline="") as fh:
-            for (mask, mandatory, present_vals), acc in groups.items():
+            for (mask, mandatory, present_vals), acc in by_tenant:
                 attr_cells = ["", "0"] * k
                 for value, j in zip(present_vals, masks[mask]):
                     attr_cells[2 * j] = value

@@ -2,10 +2,12 @@
 
 Every query derives its tenant scope from the authenticated context, never
 from request parameters: rows whose university_key differs from the session
-tenant are unreachable by construction.  Reports are predefined; a report
-binds request parameters into filters, selects the cube rows at its grouping
-masks, and renders rolled-up attributes as the literal text "ALL" (which the
-ETL layer keeps out of key and code values).
+tenant are unreachable by construction.  Cube files are sorted by tenant, so
+a query reads only the byte range its binary search finds for the session
+tenant, and still checks the tenant of every line it reads.  Reports are
+predefined; a report binds request parameters into filters, selects the cube
+rows at its grouping masks, and renders rolled-up attributes as the literal
+text "ALL" (which the ETL layer keeps out of key and code values).
 """
 
 from __future__ import annotations
@@ -15,10 +17,17 @@ import time
 from dataclasses import dataclass
 
 from .errors import StorageError, ValidationError
-from .etl import SplitConfig, plan_splits, CASE2
+from .etl import _align_forward
 from .schema import RESERVED_ROLLUP_TEXT, TenantKey
 from .store import Segment, SegmentStore
-from .cube import CubeRow, CubeSpec, builtin_cube_specs, latest_cube_segment, parse_cube_row
+from .cube import (
+    CubeRow,
+    CubeSpec,
+    builtin_cube_specs,
+    latest_cube_segment,
+    parse_cube_row,
+    tenant_range,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -120,6 +129,21 @@ class ReportResult:
         return "\n".join(parts) + "\n"
 
 
+def _chunk_bounds(fh, start: int, end: int, workers: int) -> list[int]:
+    """Record-aligned bounds that split ``[start, end)`` into at most
+    ``workers`` chunks; a range that is one long record stays one chunk."""
+    if start == end:
+        return [start]
+    chunk = -(-(end - start) // workers)
+    bounds = [start]
+    for nominal in range(start + chunk, end, chunk):
+        aligned = _align_forward(fh, nominal, end)
+        if bounds[-1] < aligned < end:
+            bounds.append(aligned)
+    bounds.append(end)
+    return bounds
+
+
 def _format_mean(value: float) -> str:
     return f"{value:.10g}"
 
@@ -173,13 +197,18 @@ class QueryEngine:
         when its university_key column, which every CubeSpec holds among its
         mandatory keys, equals the tenant key.
 
-        The scan reads the newest cube segment in ``scan_workers``
-        record-aligned chunks; per-chunk busy times feed the same
-        effective/cumulative model the ETL pipeline reports.  The segment
-        read is returned with the rows (None when no scan was needed), so
-        callers report the version they actually read.  When a refresh drops
-        the picked version before it is read, the newest version is picked
-        and read once more; a second miss raises StorageError.
+        The newest cube segment is sorted by tenant: a binary search over
+        its line starts finds the tenant's byte range, and only that range
+        is read, in ``scan_workers`` record-aligned chunks.  Every line read
+        is still checked for the tenant, so isolation does not rest on the
+        sort; a version written unsorted can lose rows from a report, never
+        show another tenant's.  Planning (the search and the chunk bounds)
+        and per-chunk busy times feed the same effective/cumulative model
+        the ETL pipeline reports.  The segment read is returned with the
+        rows (None when no scan was needed), so callers report the version
+        they actually read.  When a refresh drops the picked version before
+        it is opened, the newest version is picked and read once more; a
+        second miss raises StorageError.
         """
         t_start = time.perf_counter()
         spec = self._spec(cube)
@@ -216,37 +245,35 @@ class QueryEngine:
 
         mask_strs = {str(m) for m in masks}
 
+        def matches(text: str) -> list[CubeRow]:
+            found = []
+            for line in text.split("\n"):
+                if not line:
+                    continue
+                fields = line.split(",")
+                if fields[0] not in mask_strs or fields[tenant_col] != tenant:
+                    continue
+                ok = True
+                for value_col, flag_col, value in checks:
+                    if fields[flag_col] != "1" or fields[value_col] != value:
+                        ok = False
+                        break
+                if ok:
+                    found.append(parse_cube_row(spec, fields))
+            return found
+
         def read(path):
             """Matching rows and busy time per chunk, and when planning ended."""
-            size = path.stat().st_size
-            if size == 0:
-                return [], [], time.perf_counter()
-            chunk = -(-size // scan_workers)
-            plan = plan_splits(path, SplitConfig(1, max(chunk, 1), chunk), CASE2)
-            t_planned = time.perf_counter()
-            busy = []
-            chunk_results: list[list[CubeRow]] = []
-            for split in plan.splits:
-                t0 = time.perf_counter()
-                with open(split.path, "rb") as fh:
-                    fh.seek(split.offset)
-                    text = fh.read(split.length).decode("utf-8")
-                found: list[CubeRow] = []
-                for line in text.split("\n"):
-                    if not line:
-                        continue
-                    fields = line.split(",")
-                    if fields[0] not in mask_strs or fields[tenant_col] != tenant:
-                        continue
-                    ok = True
-                    for value_col, flag_col, value in checks:
-                        if fields[flag_col] != "1" or fields[value_col] != value:
-                            ok = False
-                            break
-                    if ok:
-                        found.append(parse_cube_row(spec, fields))
-                busy.append(time.perf_counter() - t0)
-                chunk_results.append(found)
+            with open(path, "rb") as fh:
+                start, end = tenant_range(fh, spec, tenant)
+                bounds = _chunk_bounds(fh, start, end, scan_workers)
+                t_planned = time.perf_counter()
+                busy, chunk_results = [], []
+                for offset, stop in zip(bounds, bounds[1:]):
+                    t0 = time.perf_counter()
+                    fh.seek(offset)
+                    chunk_results.append(matches(fh.read(stop - offset).decode("utf-8")))
+                    busy.append(time.perf_counter() - t0)
             return chunk_results, busy, t_planned
 
         for _ in range(2):
@@ -257,7 +284,7 @@ class QueryEngine:
                 chunk_results, busy, t_planned = read(segment.path)
                 break
             except FileNotFoundError:
-                pass  # a refresh dropped this version after it was picked
+                pass  # a refresh dropped this version before it was opened
         else:
             raise StorageError(f"cube {cube} was replaced while being read; try again")
         if not busy:

@@ -68,6 +68,7 @@ class TenantService:
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "eduwh"
+    _body_unread = False
 
     @property
     def svc(self) -> TenantService:
@@ -85,6 +86,9 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             data = body.encode("utf-8")
             content_type += "; charset=utf-8"
+        if self._body_unread:
+            # the body would be parsed as the next request on this connection
+            self.close_connection = True
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
@@ -92,6 +96,14 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
+
+    def parse_request(self) -> bool:
+        if not super().parse_request():
+            return False
+        # a declared body stays unread until _read_body takes all of it
+        self._body_unread = (self.headers.get("Content-Length", "0") != "0"
+                             or "Transfer-Encoding" in self.headers)
+        return True
 
     def _context(self):
         header = self.headers.get("Authorization", "")
@@ -136,11 +148,17 @@ class _Handler(BaseHTTPRequestHandler):
             length = int(self.headers["Content-Length"])
             raw = self.rfile.read(length)
             if len(raw) == length:
+                self._body_unread = False
                 return raw
             refusal = 400, {"error": f"body ended after {len(raw)} of {length} bytes"}
         self.close_connection = True
         self._send(*refusal)
         return None
+
+    def _dropped(self, exc: ConnectionError) -> None:
+        # the client is gone: nothing can be sent, so nothing is
+        logger.debug("connection from %s dropped: %r", self.client_address, exc)
+        self.close_connection = True
 
     # ---- routes ----
 
@@ -155,6 +173,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send(404, {"error": f"no such endpoint {url.path}"})
         except ValidationError as exc:
             self._send(400, {"error": str(exc)})
+        except ConnectionError as exc:
+            self._dropped(exc)
         except Exception:
             logger.exception("unhandled error serving %s", self.path)
             self._send(500, {"error": "internal error"})
@@ -175,6 +195,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(400, {"error": str(exc)})
         except StorageError as exc:
             self._send(409, {"error": str(exc)})
+        except ConnectionError as exc:
+            self._dropped(exc)
         except Exception:
             logger.exception("unhandled error serving %s", self.path)
             self._send(500, {"error": "internal error"})

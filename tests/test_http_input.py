@@ -188,3 +188,40 @@ def test_client_reset_is_logged_not_printed(address, caplog, capfd):
         time.sleep(0.01)
     assert [r.levelno for r in dropped()] == [logging.DEBUG]
     assert "Traceback" not in capfd.readouterr().err
+
+
+def test_answer_before_the_body_is_read_closes(address):
+    token = _token(address)
+    smuggled = b"POST /nope HTTP/1.1\r\nContent-Length: 0\r\n\r\n"
+    conn = http.client.HTTPConnection(*address, timeout=5)
+    try:
+        # no session token: the 401 is sent with the body still unread
+        conn.request("POST", "/upload?table=Times", body=smuggled)
+        resp = conn.getresponse()
+        assert resp.status == 401, resp.read()
+        assert resp.getheader("Connection") == "close"
+        resp.read()
+        # same connection object: the next request must not meet the old body
+        conn.request("GET", "/reports", headers={"Authorization": f"Bearer {token}"})
+        resp = conn.getresponse()
+        assert resp.status == 200, resp.read()
+    finally:
+        conn.close()
+
+
+def test_client_gone_mid_body_logs_no_error(address, caplog):
+    caplog.set_level(logging.DEBUG, logger="eduwarehouse.service")
+    with socket.create_connection(address, timeout=5) as sock:
+        sock.sendall(b"POST /auth HTTP/1.1\r\nHost: eduwh\r\n"
+                     b"Content-Length: 1000\r\n\r\n" + b"{" * 10)
+        time.sleep(0.2)  # the handler is now blocked reading the body
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+
+    def dropped():
+        return [r for r in caplog.records if "dropped" in r.getMessage()]
+
+    deadline = time.monotonic() + 2
+    while not dropped() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert dropped(), "the reset was never seen"
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == []

@@ -1,12 +1,22 @@
 """Query engine and report catalog behaviour."""
 
+import io
 import logging
 import random
 
 import pytest
 
-from eduwarehouse.cube import AggregateSpec, CubeEngine, CubeSpec, builtin_cube_specs
+import eduwarehouse.olap as olap
+from eduwarehouse.cube import (
+    AggregateSpec,
+    CubeEngine,
+    CubeSpec,
+    builtin_cube_specs,
+    cube_columns,
+    parse_cube_row,
+)
 from eduwarehouse.errors import StorageError, ValidationError
+from eduwarehouse.schema import TenantKey
 from eduwarehouse.olap import (
     OutputColumn,
     QueryEngine,
@@ -190,6 +200,117 @@ def test_unscopable_cube_rejected():
             cube_attrs=("regtype_code",),
             aggregates=(AggregateSpec("avg_marks", "marks"),),
         )
+
+
+# ---- tenant slices of the cube file ----
+
+SLICE_DIMS = {
+    **DIM_UPLOADS,
+    "Courses": "course_code,course_name,department_code\n"
+               + "".join(f"CS10{i},Course {i},DEP01\n" for i in range(4)),
+}
+# prefixes of one another, a %-bearing and a non-ASCII key, listed unsorted
+SLICE_TENANTS = [TenantKey(v) for v in
+                 ("Universität", "University10", "U%s1", "University1", "University1a")]
+# tenants without rows: before, between and after the others in the file
+EMPTY_TENANTS = [TenantKey(v) for v in ("Alpha", "University1b", "Zeta")]
+
+
+def _ingest_tenant(pipeline, tmp_path, tenant, rng, n_facts=40):
+    for table, text in SLICE_DIMS.items():
+        ingest_text(pipeline, tmp_path, table, text, tenant)
+    facts = [(f"s{i}", f"CS10{rng.randrange(4)}", rng.choice(["2016-17-SPR", "2016-17-AUT"]),
+              rng.choice(["FT", "PT", "DL"]), str(rng.randrange(100)),
+              str(rng.randrange(100)), "B") for i in range(n_facts)]
+    ingest_text(pipeline, tmp_path, "StudentPerformance",
+                PERF_HEADER + "\n" + "".join(",".join(r) + "\n" for r in facts), tenant)
+
+
+@pytest.fixture
+def sliced(store, pipeline, tmp_path):
+    rng = random.Random(11)
+    for tenant in SLICE_TENANTS:
+        _ingest_tenant(pipeline, tmp_path, tenant, rng)
+    version = CubeEngine(store).build(SPEC).version
+    return QueryEngine(store), store.segments(SPEC.table_name)[-1].path, version
+
+
+def _every_line_oracle(path, tenant, masks, filters):
+    """The tenant's rows at ``masks`` matching ``filters``, from every line."""
+    cols = cube_columns(SPEC)
+    found = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        fields = line.split(",")
+        row = dict(zip(cols, fields))
+        if row["university_key"] != tenant.value or int(row["grouping_id"]) not in masks:
+            continue
+        if all(row[f"{attr}_set"] == "1" and row[attr] == value for attr, value in filters):
+            found.append(parse_cube_row(SPEC, fields))
+    return found
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_tenant_slice_matches_every_line_oracle(sliced, workers):
+    engine, path, version = sliced
+    queries = [
+        (set(range(8)), []),
+        ({0b110, 0b010}, [("time_code", DEMO_TERM)]),
+        ({0b101, 0b111}, [("course_code", "CS102"), ("regtype_code", "PT")]),
+    ]
+    for tenant in SLICE_TENANTS + EMPTY_TENANTS:
+        ctx = TenantContext(tenant, "s")
+        for masks, filters in queries:
+            rows, _ = engine.query_cube_timed(
+                ctx, "student_performance", masks, filters, scan_workers=workers)
+            expected = _every_line_oracle(path, tenant, masks, filters)
+            assert rows == expected, (tenant, masks, filters)
+            if not filters:
+                assert bool(rows) == (tenant in SLICE_TENANTS), tenant
+    for tenant in EMPTY_TENANTS:
+        result = engine.generate_report(
+            TenantContext(tenant, "s"), "avg_marks_by_regtype", {"time_code": DEMO_TERM})
+        assert result.rows == () and result.cube_version == version
+
+
+def test_cube_file_is_sorted_by_tenant(sliced):
+    _, path, _ = sliced
+    tenant_col = cube_columns(SPEC).index("university_key")
+    keys = [line.split(",")[tenant_col]
+            for line in path.read_text(encoding="utf-8").splitlines()]
+    assert set(keys) == {t.value for t in SLICE_TENANTS}
+    # str order is UTF-8 byte order, the order the binary search compares in
+    assert keys == sorted(keys) == sorted(keys, key=lambda k: k.encode("utf-8"))
+
+
+def test_report_reads_only_its_tenants_range(store, pipeline, tmp_path, monkeypatch):
+    tenants = [TenantKey(f"University{i}") for i in range(16)]
+    rng = random.Random(3)
+    for tenant in tenants:
+        _ingest_tenant(pipeline, tmp_path, tenant, rng)
+    CubeEngine(store).build(SPEC)
+    size = store.segments(SPEC.table_name)[-1].path.stat().st_size
+    counted = []
+
+    class CountingReader(io.BufferedReader):
+        def read(self, n=-1):
+            data = super().read(n)
+            counted.append(len(data))
+            return data
+
+        def readline(self, n=-1):
+            data = super().readline(n)
+            counted.append(len(data))
+            return data
+
+    def counting_open(path, mode="r", *args, **kwargs):
+        assert mode == "rb"
+        return CountingReader(io.FileIO(path))
+
+    monkeypatch.setattr(olap, "open", counting_open, raising=False)
+    result = QueryEngine(store).generate_report(
+        TenantContext(tenants[7], "s"), "avg_marks_by_regtype", {"time_code": DEMO_TERM})
+    assert result.rows
+    assert 0 < sum(counted) < size / 4, (sum(counted), size)
 
 
 # ---- catalog ----
