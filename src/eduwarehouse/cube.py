@@ -9,9 +9,13 @@ tenant key university_key is always one of them, so every cube row belongs
 to exactly one tenant.
 
 Aggregates carry (sum, count) accumulators beside the mean.  A build
-aggregates each fact row once, at the finest grouping, and rolls every
-coarser grouping up from those groups by adding accumulators; built cubes
-are immutable and a rebuild replaces the previous version atomically.
+groups each fact row once by its raw fact columns (mandatory keys, plain
+attributes and join reference columns), resolves the dimension joins once
+per raw group, merges raw groups into the finest grouping, and rolls every
+coarser grouping up from those groups by adding accumulators.  Every
+shipped join is 1:1 except student_counts' Times -> year, whose measure is
+an INTEGER, so the result is byte-identical to summing row by row.  Built
+cubes are immutable and a rebuild replaces the previous version atomically.
 
 A cube segment holds its rows grouped by tenant, in ascending university_key
 order (Python ``str`` order, which is UTF-8 byte order), so ``tenant_range``
@@ -28,6 +32,7 @@ import uuid
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import StorageError, ValidationError
 from .schema import INTEGER, TEXT, TableDef
@@ -260,9 +265,9 @@ def _masked_indexes(k: int) -> tuple[tuple[int, ...], ...]:
 class CubeEngine:
     """Builds cubes from deduped fact scans and persists them as segments.
 
-    One pass over the fact scan aggregates each row into its finest group
-    (every cube attribute present); each of the 2^k groupings is then rolled
-    up from those finest groups.
+    One pass over the fact scan aggregates each row into its raw group;
+    the raw groups resolve into the finest groups (every cube attribute
+    present), and each of the 2^k groupings is rolled up from those.
     """
 
     def __init__(self, store: SegmentStore):
@@ -330,14 +335,13 @@ class CubeEngine:
         except ValueError as exc:
             raise ValidationError(f"mandatory key not on {spec.fact}: {exc}") from None
         plain, joined = self._attr_sources(spec, fact)
-        agg_idx = []
-        agg_is_int = []
+        measures = []
         for agg in spec.aggregates:
             attr = fact.attribute(agg.source)
             if attr.value_class == TEXT:
                 raise ValidationError(f"aggregate source {agg.source!r} is not numeric")
-            agg_idx.append(fact.storage_index(agg.source))
-            agg_is_int.append(attr.value_class == INTEGER)
+            parse = int if attr.value_class == INTEGER else float
+            measures.append((fact.storage_index(agg.source), parse))
 
         # the one fact listing: what the build reads is what its summary names
         fact_segments = self.store.segments(spec.fact)
@@ -345,7 +349,7 @@ class CubeEngine:
         n_aggs = len(spec.aggregates)
 
         finest, rows_scanned, rows_excluded = self._accumulate(
-            spec, fact_segments, plain, joined, mand_idx, agg_idx, agg_is_int, n_aggs
+            spec, fact_segments, plain, joined, mand_idx, measures
         )
         groups: dict = {}
         for mask, present in enumerate(_masked_indexes(spec.k)):
@@ -367,53 +371,78 @@ class CubeEngine:
         )
         return summary
 
-    def _accumulate(self, spec, fact_segments, plain, joined, mand_idx, agg_idx,
-                    agg_is_int, n_aggs):
+    def _accumulate(self, spec, fact_segments, plain, joined, mand_idx, measures):
         """Aggregate the deduped rows of ``fact_segments`` at the finest grouping.
+
+        Rows are grouped by their raw fact columns (mandatory keys, plain
+        attributes and join reference columns), taken with one itemgetter;
+        each join map is then consulted once per raw group, not once per
+        row.  A raw group whose references do not resolve adds its support
+        to the excluded count.  Raw groups that resolve to one finest group
+        (a many-to-one join such as Times -> year) are merged group by
+        group, so a float measure behind such a join is summed in the order
+        the roll-up already uses.  Every shipped join is 1:1 except
+        student_counts' Times -> year, whose measure is an INTEGER and sums
+        exactly, so the cube is byte-identical to a row-by-row build.
 
         Returns {(mandatory, attrs): [support, sum0, count0, ...]} with every
         cube attribute present, plus the scanned and excluded row counts.
         """
-        finest: dict = {}
+        n_mand, n_plain = len(mand_idx), len(plain)
+        # mandatory keys and cube attributes make at least two columns, so
+        # the key is always a tuple
+        raw_key = itemgetter(
+            *mand_idx, *(idx for idx, _ in plain), *(idx for idx, _, _ in joined)
+        )
+        raw: dict = {}  # raw key -> [support, sum0, sum1, ...]
         rows_scanned = 0
         rows_excluded = 0
-        acc_len = 1 + 2 * n_aggs
-        attr_slots: list = [None] * spec.k
+        zeros = [0] * (1 + len(measures))
         for fields in self.store.scan(spec.fact, fact_segments):
             rows_scanned += 1
-            for idx, slot in plain:
-                attr_slots[slot] = fields[idx]
+            try:
+                values = [parse(fields[i]) for i, parse in measures]
+            except ValueError:
+                rows_excluded += 1
+                continue
+            key = raw_key(fields)
+            acc = raw.get(key)
+            if acc is None:
+                acc = raw[key] = zeros.copy()
+            acc[0] += 1
+            for a, value in enumerate(values, 1):
+                acc[a] += value
+
+        finest: dict = {}
+        attr_slots: list = [None] * spec.k
+        for key, acc in raw.items():
+            for p, (_, slot) in enumerate(plain, n_mand):
+                attr_slots[slot] = key[p]
             resolved = True
-            for idx, slot, mapping in joined:
-                value = mapping.get(fields[idx])
+            for p, (_, slot, mapping) in enumerate(joined, n_mand + n_plain):
+                value = mapping.get(key[p])
                 if value is None:
                     resolved = False
                     break
                 attr_slots[slot] = value
             if not resolved:
-                rows_excluded += 1
+                rows_excluded += acc[0]
                 continue
-            try:
-                measures = [
-                    int(fields[i]) if is_int else float(fields[i])
-                    for i, is_int in zip(agg_idx, agg_is_int)
-                ]
-            except ValueError:
-                rows_excluded += 1
-                continue
-            key = (tuple(fields[i] for i in mand_idx), tuple(attr_slots))
-            acc = finest.get(key)
-            if acc is None:
-                acc = [0] * acc_len
-                finest[key] = acc
-            acc[0] += 1
-            for a, m in enumerate(measures):
-                acc[1 + 2 * a] += m
-                acc[2 + 2 * a] += 1
+            support = acc[0]
+            # every kept row parsed every measure, so each count is the support
+            full = [support]
+            for total in acc[1:]:
+                full.extend((total, support))
+            group = (key[:n_mand], tuple(attr_slots))
+            mine = finest.get(group)
+            finest[group] = full if mine is None else merge_accumulators(mine, full)
         return finest, rows_scanned, rows_excluded
 
     def _persist(self, spec: CubeSpec, groups: dict, n_aggs: int) -> Segment:
         """Write the groups as the cube's next version and drop older ones.
+
+        Only versions older than the one just committed are dropped, so of
+        two overlapping builds of one cube the newer version survives.
 
         Rows are sorted by tenant, the order ``tenant_range`` searches; the
         sort is stable, so rows keep the build's order within a tenant.
@@ -441,8 +470,13 @@ class CubeEngine:
                 fh.write("\n")
         segment = self.store.commit_batch(spec.table_name, staged, row_count=len(groups))
         for old in self.store.segments(spec.table_name):
-            if old.batch_id != segment.batch_id:
+            # a newer version is an overlapping build's, and must stay
+            if old.batch_id >= segment.batch_id:
+                break
+            try:
                 self.store.drop_batch(spec.table_name, old.batch_id)
+            except StorageError:
+                pass  # an overlapping build dropped it first
         return segment
 
 

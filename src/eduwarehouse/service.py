@@ -337,8 +337,11 @@ class ServiceThread:
 
     def __init__(self, config: GatewayConfig):
         self.server, self.service = make_server(config)
+        # shutdown() waits for the serve loop's next poll; a short poll keeps
+        # teardown quick (requests are served as they arrive either way)
         self._thread = threading.Thread(
-            target=self.server.serve_forever, name="eduwh-service", daemon=True
+            target=self.server.serve_forever, kwargs={"poll_interval": 0.05},
+            name="eduwh-service", daemon=True,
         )
 
     @property

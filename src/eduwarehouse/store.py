@@ -14,6 +14,7 @@ import fcntl
 import logging
 import os
 from contextlib import contextmanager
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
 
@@ -147,9 +148,10 @@ class SegmentStore:
 
     def drop_batch(self, table: str, batch_id: int) -> None:
         path = self.root / table / f"{batch_id:06d}{SEGMENT_SUFFIX}"
-        if not path.is_file():
-            raise StorageError(f"{table} has no batch {batch_id}")
-        path.unlink()
+        try:
+            path.unlink()
+        except FileNotFoundError:
+            raise StorageError(f"{table} has no batch {batch_id}") from None
 
     def scan(self, table: str, segments: list[Segment]) -> Iterator[list[str]]:
         """Stream the deduped rows of ``segments``, a listing of ``table``.
@@ -163,11 +165,13 @@ class SegmentStore:
         table_def = self.schema.tables.get(table)
         if table_def is None:
             raise ValidationError(f"table {table!r} is not in the catalog")
-        key_idx = tuple(table_def.storage_index(c) for c in table_def.natural_key)
-        seen: set[tuple[str, ...]] = set()
+        # one C-level key per row: a bare str for a one-column natural key
+        # (every dimension), a tuple for a fact's compound key
+        key_of = itemgetter(*(table_def.storage_index(c) for c in table_def.natural_key))
+        seen: set = set()
         for seg in reversed(segments):
             for fields in self.read_segment(seg):
-                key = tuple(fields[i] for i in key_idx)
+                key = key_of(fields)
                 if key in seen:
                     continue
                 seen.add(key)

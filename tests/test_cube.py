@@ -199,6 +199,91 @@ def test_build_matches_brute_force_oracle(store, pipeline, tmp_path):
             assert abs(mean - total / n) < 1e-12
 
 
+def _keep_latest(batches, width):
+    """Upload rows of ``batches`` in commit order, the last per leading key."""
+    latest = {}
+    for rows in batches:
+        for row in rows:
+            latest[row[:width]] = row
+    return list(latest.values())
+
+
+def _upload(header, rows):
+    return header + "\n" + "".join(",".join(r) + "\n" for r in rows)
+
+
+def _assert_cube_matches(store, cube, oracle):
+    rows = QueryEngine(store).query_cube(TenantContext(U1, "t"), cube, set(range(8)))
+    got = {(r.grouping_id, *r.mandatory, *r.attrs): r for r in rows}
+    assert sorted(got, key=repr) == sorted(oracle, key=repr)
+    for key, acc in oracle.items():
+        row = got[key]
+        assert row.support_count == acc[0]
+        assert row.sums == tuple(acc[1::2])
+        assert row.counts == tuple(acc[2::2])
+
+
+def test_grouped_build_matches_row_by_row_oracle(store, pipeline, tmp_path):
+    for table, text in DIM_UPLOADS.items():
+        ingest_text(pipeline, tmp_path, table, text)
+    ingest_text(pipeline, tmp_path, "Programs", "program_code,program_name\nPRG01,CS\n")
+    times = {"2016-17-SPR": "2016", "2016-17-AUT": "2016"}  # many-to-one on year
+    spr, aut = sorted(times, reverse=True)
+
+    # NOPE9 is no course: rows referencing it are excluded, s3, s9 and s10
+    # as one raw group (same references); batch 2 supersedes s1 and s3
+    perf = [
+        [("s1", "CS101", spr, "FT", "80", "90", "A"),
+         ("s2", "CS101", spr, "PT", "70", "85", "B"),
+         ("s3", "NOPE9", spr, "FT", "60", "70", "C"),
+         ("s4", "NOPE9", aut, "FT", "55", "75", "C"),
+         ("s5", "NOPE9", spr, "PT", "65", "80", "C"),
+         ("s6", "CS101", aut, "DL", "50", "60", "C"),
+         ("s9", "NOPE9", spr, "FT", "45", "65", "P")],
+        [("s1", "CS101", spr, "FT", "95", "91", "A"),
+         ("s3", "NOPE9", spr, "FT", "61", "71", "C"),
+         ("s7", "CS101", spr, "FT", "88", "92", "A"),
+         ("s8", "NOPE9", aut, "PT", "40", "50", "P"),
+         ("s10", "NOPE9", spr, "FT", "58", "66", "C")],
+    ]
+    counts = [
+        [("DEP01", "PRG01", spr, "100"), ("DEP01", "PRG01", aut, "151"),
+         ("DEP01", "PRG02", spr, "30"), ("DEP99", "PRG01", aut, "12")],
+        [("DEP01", "PRG01", aut, "160"), ("DEP01", "PRG02", aut, "33")],
+    ]
+    for rows in perf:
+        ingest_text(pipeline, tmp_path, "StudentPerformance", _upload(PERF_HEADER, rows))
+    for rows in counts:
+        ingest_text(pipeline, tmp_path, "StudentCounts", _upload(
+            "department_code,program_code,time_code,head_count", rows))
+
+    engine = CubeEngine(store)
+    facts = [
+        {"university_key": U1.value, "course_code": c, "time_code": t,
+         "regtype_code": r, "marks": float(m), "percent_attended": float(a)}
+        for _, c, t, r, m, a, _ in _keep_latest(perf, 4) if c == "CS101"
+    ]
+    summary = engine.build(SPEC)
+    assert (summary.rows_scanned, summary.rows_excluded) == (10, 6)
+    assert summary.rows_scanned - summary.rows_excluded == len(facts)
+    _assert_cube_matches(store, "student_performance", _brute_force(
+        facts, SPEC.cube_attrs, ["marks", "percent_attended"]))
+
+    latest = _keep_latest(counts, 3)
+    facts = [
+        {"university_key": U1.value, "department_code": d, "program_code": p,
+         "year": times[t], "head_count": int(n)}
+        for d, p, t, n in latest if (d, p) == ("DEP01", "PRG01")
+    ]
+    spec = builtin_cube_specs()["student_counts"]
+    summary = engine.build(spec)
+    assert (summary.rows_scanned, summary.rows_excluded) == (len(latest), 3) == (5, 3)
+    # both terms fold into one year: two raw groups, one finest group
+    oracle = _brute_force(facts, spec.cube_attrs, ["head_count"])
+    assert oracle[(7, U1.value, "DEP01", "PRG01", "2016")] == [2, 260, 2]
+    _assert_cube_matches(store, "student_counts", oracle)
+
+
 def test_rebuild_of_same_facts_is_byte_identical(store, pipeline, tmp_path):
     ingest_demo_fixture(pipeline, tmp_path)
     engine = CubeEngine(store)
@@ -313,6 +398,41 @@ def test_rebuild_prunes_previous_versions(store, pipeline, tmp_path):
     assert (s1.version, s2.version) == (1, 2)
     segments = store.segments(SPEC.table_name)
     assert [s.batch_id for s in segments] == [2], "old cube versions are pruned"
+
+
+def test_overlapping_build_keeps_the_newer_version(store, pipeline, tmp_path, monkeypatch):
+    # build A commits v2, build B runs whole (v3), then A drops its old versions
+    ingest_demo_fixture(pipeline, tmp_path)
+    engine_a, engine_b = CubeEngine(store), CubeEngine(store)
+    engine_a.build(SPEC)
+    real = store.commit_batch
+    b_summaries = []
+
+    def commit_then_build_b(table, staged, row_count=None):
+        segment = real(table, staged, row_count=row_count)
+        monkeypatch.setattr(store, "commit_batch", real)
+        b_summaries.append(engine_b.build(SPEC))
+        return segment
+
+    monkeypatch.setattr(store, "commit_batch", commit_then_build_b)
+    a = engine_a.build(SPEC)
+    [b] = b_summaries
+    assert (a.version, b.version) == (2, 3)
+    assert [s.batch_id for s in store.segments(SPEC.table_name)] == [3]
+
+
+def test_overlapping_build_tolerates_versions_already_dropped(
+    store, pipeline, tmp_path, monkeypatch
+):
+    # build B runs whole between A's commit (v2) and A's listing of v1, v2
+    ingest_demo_fixture(pipeline, tmp_path)
+    engine_a, engine_b = CubeEngine(store), CubeEngine(store)
+    engine_a.build(SPEC)
+    _commit_after_first_listing(
+        monkeypatch, store, SPEC.table_name, lambda: engine_b.build(SPEC)
+    )
+    assert engine_a.build(SPEC).version == 2
+    assert [s.batch_id for s in store.segments(SPEC.table_name)] == [3]
 
 
 def test_cube_storage_row_parses_back(store, pipeline, tmp_path):

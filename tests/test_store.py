@@ -7,6 +7,8 @@ from eduwarehouse.errors import StorageError, ValidationError
 from eduwarehouse.store import SegmentStore, count_rows
 from eduwarehouse.schema import builtin_schema
 
+from conftest import ingest_text
+
 
 def _stage(store: SegmentStore, name: str, text: str):
     path = store.staging_path(name)
@@ -81,6 +83,22 @@ def test_dedupe_keeps_latest_batch(store):
     assert len(rows) == 1 and rows[0][-1] == "New name"
     raw = _raw(store, "Departments")
     assert len(raw) == 2
+
+
+def test_dimension_reupload_keeps_newest_row_per_key(store, pipeline, tmp_path):
+    # a dimension's natural key is one column: scan keys its rows by one
+    # bare string each, so keys sharing a prefix must stay apart
+    header = "course_code,course_name,department_code\n"
+    ingest_text(pipeline, tmp_path, "Courses",
+                header + "CS1,Short,DEP01\nCS101,Intro,DEP01\nCS102,Data,DEP01\n")
+    ingest_text(pipeline, tmp_path, "Courses", header + "CS102,Data Structures,DEP02\n")
+    rows = _scan(store, "Courses")
+    assert len(rows) == 3 and len(_raw(store, "Courses")) == 4
+    assert {r[1]: r[2:4] for r in rows} == {
+        "CS1": ["Short", "DEP01"],
+        "CS101": ["Intro", "DEP01"],
+        "CS102": ["Data Structures", "DEP02"],
+    }
 
 
 def test_dedupe_no_duplicates_is_identity(store):
