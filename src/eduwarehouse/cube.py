@@ -8,7 +8,10 @@ attribute.  Mandatory keys are grouped in every row and never rolled up; the
 tenant key university_key is always one of them, so every cube row belongs
 to exactly one tenant.
 
-Aggregates carry (sum, count) accumulators beside the mean.  A build
+A cube row stores each fact once: the grouping_id says which attributes
+are present, each aggregate keeps only its sum, and support_count is the
+count of every aggregate, since a fact row that fails to parse any measure
+is excluded whole.  Means are sum / support, derived on read.  A build
 groups each fact row once by its raw fact columns (mandatory keys, plain
 attributes and join reference columns), resolves the dimension joins once
 per raw group, merges raw groups into the finest grouping, and rolls every
@@ -147,39 +150,32 @@ class CubeRow:
 
 
 def cube_columns(spec: CubeSpec) -> tuple[str, ...]:
-    """Storage layout of cube_<name> segments.
+    """Storage layout of cube_<name> segments, the one place it is defined.
 
-    grouping_id (decimal text), mandatory keys, each cube attribute beside a
-    0/1 presence flag, then sum/count/mean per aggregate, then support_count.
+    grouping_id (decimal text), the mandatory keys, one cell per cube
+    attribute (empty when the mask rolls it up), ``<agg>_sum`` per
+    aggregate, then support_count.
     """
-    cols = ["grouping_id", *spec.mandatory_keys]
-    for attr in spec.cube_attrs:
-        cols.extend((attr, f"{attr}_set"))
-    for agg in spec.aggregates:
-        cols.extend((f"{agg.name}_sum", f"{agg.name}_count", f"{agg.name}_mean"))
-    cols.append("support_count")
-    return tuple(cols)
+    return (
+        "grouping_id", *spec.mandatory_keys, *spec.cube_attrs,
+        *(f"{agg.name}_sum" for agg in spec.aggregates), "support_count",
+    )
 
 
 def parse_cube_row(spec: CubeSpec, fields: list[str]) -> CubeRow:
-    """Decode one stored cube segment row."""
-    k = spec.k
-    n_mand = len(spec.mandatory_keys)
+    """Decode one stored cube segment row.
+
+    Presence comes from the grouping_id bits; every aggregate's count is
+    the support, and its mean is sum / support.
+    """
     mask = int(fields[0])
-    mandatory = tuple(fields[1 : 1 + n_mand])
-    attrs = []
-    base = 1 + n_mand
-    for i in range(k):
-        value, flag = fields[base + 2 * i], fields[base + 2 * i + 1]
-        attrs.append(value if flag == "1" else None)
-    base += 2 * k
-    sums, counts, means = [], [], []
-    for i in range(len(spec.aggregates)):
-        sums.append(float(fields[base + 3 * i]))
-        counts.append(int(fields[base + 3 * i + 1]))
-        means.append(float(fields[base + 3 * i + 2]))
-    support = int(fields[base + 3 * len(spec.aggregates)])
-    return CubeRow(mask, mandatory, tuple(attrs), tuple(sums), tuple(counts), tuple(means), support)
+    attrs_at = 1 + len(spec.mandatory_keys)
+    sums_at = attrs_at + spec.k
+    attrs = tuple(v if mask >> j & 1 else None for j, v in enumerate(fields[attrs_at:sums_at]))
+    sums = tuple(float(total) for total in fields[sums_at:-1])
+    support = int(fields[-1])
+    means = tuple(total / support for total in sums)
+    return CubeRow(mask, tuple(fields[1:attrs_at]), attrs, sums, (support,) * len(sums), means, support)
 
 
 def tenant_range(fh, spec: CubeSpec, tenant: str) -> tuple[int, int]:
@@ -219,7 +215,7 @@ def tenant_range(fh, spec: CubeSpec, tenant: str) -> tuple[int, int]:
 
 
 def merge_accumulators(a: list, b: list) -> list:
-    """Combine two accumulator vectors [support, sum0, count0, sum1, ...].
+    """Combine two accumulator vectors [support, sum0, sum1, ...].
 
     Elementwise addition, hence associative and commutative; a coarser
     group is the merge of the finer groups it rolls up.  Neither input is
@@ -346,7 +342,6 @@ class CubeEngine:
         # the one fact listing: what the build reads is what its summary names
         fact_segments = self.store.segments(spec.fact)
         fact_batches = tuple((s.batch_id, s.path.stat().st_ctime_ns) for s in fact_segments)
-        n_aggs = len(spec.aggregates)
 
         finest, rows_scanned, rows_excluded = self._accumulate(
             spec, fact_segments, plain, joined, mand_idx, measures
@@ -358,7 +353,7 @@ class CubeEngine:
                 mine = groups.get(key)
                 groups[key] = acc if mine is None else merge_accumulators(mine, acc)
 
-        segment = self._persist(spec, groups, n_aggs)
+        segment = self._persist(spec, groups)
         build_seconds = time.perf_counter() - t_start
         summary = CubeBuildSummary(
             spec.name, segment.batch_id, rows_scanned, rows_excluded,
@@ -385,8 +380,10 @@ class CubeEngine:
         student_counts' Times -> year, whose measure is an INTEGER and sums
         exactly, so the cube is byte-identical to a row-by-row build.
 
-        Returns {(mandatory, attrs): [support, sum0, count0, ...]} with every
+        Returns {(mandatory, attrs): [support, sum0, sum1, ...]} with every
         cube attribute present, plus the scanned and excluded row counts.
+        A row that fails to parse any measure is excluded whole, so the
+        support is every aggregate's count.
         """
         n_mand, n_plain = len(mand_idx), len(plain)
         # mandatory keys and cube attributes make at least two columns, so
@@ -428,17 +425,12 @@ class CubeEngine:
             if not resolved:
                 rows_excluded += acc[0]
                 continue
-            support = acc[0]
-            # every kept row parsed every measure, so each count is the support
-            full = [support]
-            for total in acc[1:]:
-                full.extend((total, support))
             group = (key[:n_mand], tuple(attr_slots))
             mine = finest.get(group)
-            finest[group] = full if mine is None else merge_accumulators(mine, full)
+            finest[group] = acc if mine is None else merge_accumulators(mine, acc)
         return finest, rows_scanned, rows_excluded
 
-    def _persist(self, spec: CubeSpec, groups: dict, n_aggs: int) -> Segment:
+    def _persist(self, spec: CubeSpec, groups: dict) -> Segment:
         """Write the groups as the cube's next version and drop older ones.
 
         Only versions older than the one just committed are dropped, so of
@@ -455,18 +447,11 @@ class CubeEngine:
         staged = self.store.staging_path(f"{stem}.cube")
         with open(staged, "w", encoding="utf-8", newline="") as fh:
             for (mask, mandatory, present_vals), acc in by_tenant:
-                attr_cells = ["", "0"] * k
+                attr_cells = [""] * k
                 for value, j in zip(present_vals, masks[mask]):
-                    attr_cells[2 * j] = value
-                    attr_cells[2 * j + 1] = "1"
-                cells = [str(mask), *mandatory, *attr_cells]
-                for a in range(n_aggs):
-                    total, count = acc[1 + 2 * a], acc[2 + 2 * a]
-                    cells.append(repr(total))
-                    cells.append(str(count))
-                    cells.append(repr(total / count))
-                cells.append(str(acc[0]))
-                fh.write(",".join(cells))
+                    attr_cells[j] = value
+                sums = map(repr, acc[1:])
+                fh.write(",".join((str(mask), *mandatory, *attr_cells, *sums, str(acc[0]))))
                 fh.write("\n")
         segment = self.store.commit_batch(spec.table_name, staged, row_count=len(groups))
         for old in self.store.segments(spec.table_name):

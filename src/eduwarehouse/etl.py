@@ -120,6 +120,21 @@ def _align_forward(fh, nominal: int, size: int) -> int:
     return size
 
 
+def record_bounds(fh, start: int, end: int, step: int) -> list[int]:
+    """Bounds that split ``[start, end)`` of binary file ``fh`` into pieces
+    of about ``step`` bytes, each moved forward to the next line start; a
+    bound a long record swallows is dropped.  An empty range gives [start].
+    """
+    bounds = [start]
+    if start < end:
+        for nominal in range(start + step, end, step):
+            aligned = _align_forward(fh, nominal, end)
+            if bounds[-1] < aligned < end:
+                bounds.append(aligned)
+        bounds.append(end)
+    return bounds
+
+
 def plan_splits(file: Path | str, cfg: SplitConfig, mode: str) -> SplitPlan:
     """Partition a file into record-aligned splits.
 
@@ -136,13 +151,8 @@ def plan_splits(file: Path | str, cfg: SplitConfig, mode: str) -> SplitPlan:
     if s_ip == 0:
         raise ValidationError(f"input file {path} is empty")
     s_split = (s_ip + 1) // 2 if mode == CASE1 else split_size(cfg)
-    boundaries = [0]
     with open(path, "rb") as fh:
-        for nominal in range(s_split, s_ip, s_split):
-            aligned = _align_forward(fh, nominal, s_ip)
-            if boundaries[-1] < aligned < s_ip:
-                boundaries.append(aligned)
-    boundaries.append(s_ip)
+        boundaries = record_bounds(fh, 0, s_ip, s_split)
     splits = tuple(
         SplitRange(path, start, end - start, i)
         for i, (start, end) in enumerate(zip(boundaries, boundaries[1:]))

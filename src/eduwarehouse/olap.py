@@ -17,13 +17,14 @@ import time
 from dataclasses import dataclass
 
 from .errors import StorageError, ValidationError
-from .etl import _align_forward
+from .etl import record_bounds
 from .schema import RESERVED_ROLLUP_TEXT, TenantKey
 from .store import Segment, SegmentStore
 from .cube import (
     CubeRow,
     CubeSpec,
     builtin_cube_specs,
+    cube_columns,
     latest_cube_segment,
     parse_cube_row,
     tenant_range,
@@ -129,21 +130,6 @@ class ReportResult:
         return "\n".join(parts) + "\n"
 
 
-def _chunk_bounds(fh, start: int, end: int, workers: int) -> list[int]:
-    """Record-aligned bounds that split ``[start, end)`` into at most
-    ``workers`` chunks; a range that is one long record stays one chunk."""
-    if start == end:
-        return [start]
-    chunk = -(-(end - start) // workers)
-    bounds = [start]
-    for nominal in range(start + chunk, end, chunk):
-        aligned = _align_forward(fh, nominal, end)
-        if bounds[-1] < aligned < end:
-            bounds.append(aligned)
-    bounds.append(end)
-    return bounds
-
-
 def _format_mean(value: float) -> str:
     return f"{value:.10g}"
 
@@ -191,11 +177,12 @@ class QueryEngine:
         """Select the tenant's cube rows at the given grouping masks.
 
         A filter (attr, value) matches rows where the attribute is present
-        and equal; rows with the attribute rolled up never match.  Filtering
-        on an attribute that no requested mask exposes yields an empty result
-        with a warning rather than an error.  A row is the session tenant's
-        when its university_key column, which every CubeSpec holds among its
-        mandatory keys, equals the tenant key.
+        and equal.  The requested masks are narrowed to those that keep
+        every filter attribute; when none is left the result is empty, with
+        a warning rather than an error.  A row is the session tenant's when
+        its university_key column, which every CubeSpec holds among its
+        mandatory keys, equals the tenant key.  A line whose field count is
+        not that of ``cube_columns`` (another layout) raises StorageError.
 
         The newest cube segment is sorted by tenant: a binary search over
         its line starts finds the tenant's byte range, and only that range
@@ -226,23 +213,20 @@ class QueryEngine:
         for attr, _ in filters:
             if attr not in spec.cube_attrs:
                 raise ValidationError(f"unknown filter attribute {attr!r}")
-            bit = spec.cube_attrs.index(attr)
-            if not any(mask >> bit & 1 for mask in masks):
-                logger.warning(
-                    "filter on %s which is rolled up in every requested mask; empty result",
-                    attr,
-                )
-                return [], QueryTiming(0.0, 0.0), None
+        bits = [spec.cube_attrs.index(attr) for attr, _ in filters]
+        masks = {mask for mask in masks if all(mask >> bit & 1 for bit in bits)}
+        if not masks:
+            logger.warning(
+                "filter on %s which is rolled up in every requested mask; empty result",
+                ", ".join(attr for attr, _ in filters),
+            )
+            return [], QueryTiming(0.0, 0.0), None
 
         tenant = ctx.university_key.value
-        n_mand = len(spec.mandatory_keys)
-        tenant_col = 1 + spec.mandatory_keys.index("university_key")
-        checks = []
-        for attr, value in filters:
-            bit = spec.cube_attrs.index(attr)
-            value_col = 1 + n_mand + 2 * bit
-            checks.append((value_col, value_col + 1, value))
-
+        columns = cube_columns(spec)
+        n_cols = len(columns)
+        tenant_col = columns.index("university_key")
+        checks = [(columns.index(attr), value) for attr, value in filters]
         mask_strs = {str(m) for m in masks}
 
         def matches(text: str) -> list[CubeRow]:
@@ -251,14 +235,14 @@ class QueryEngine:
                 if not line:
                     continue
                 fields = line.split(",")
+                if len(fields) != n_cols:
+                    raise StorageError(
+                        f"cube {cube} holds a row of {len(fields)} fields, not {n_cols}; "
+                        f"it was written in another layout, rebuild it (eduwh build-cube)"
+                    )
                 if fields[0] not in mask_strs or fields[tenant_col] != tenant:
                     continue
-                ok = True
-                for value_col, flag_col, value in checks:
-                    if fields[flag_col] != "1" or fields[value_col] != value:
-                        ok = False
-                        break
-                if ok:
+                if all(fields[col] == value for col, value in checks):
                     found.append(parse_cube_row(spec, fields))
             return found
 
@@ -266,7 +250,7 @@ class QueryEngine:
             """Matching rows and busy time per chunk, and when planning ended."""
             with open(path, "rb") as fh:
                 start, end = tenant_range(fh, spec, tenant)
-                bounds = _chunk_bounds(fh, start, end, scan_workers)
+                bounds = record_bounds(fh, start, end, -(-(end - start) // scan_workers))
                 t_planned = time.perf_counter()
                 busy, chunk_results = [], []
                 for offset, stop in zip(bounds, bounds[1:]):

@@ -68,6 +68,9 @@ class TenantService:
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "eduwh"
+    # seconds a socket read or write may stall before the connection is
+    # closed, so an idle or stalled client cannot hold its thread forever
+    timeout = 60
     _body_unread = False
 
     @property
@@ -155,8 +158,8 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(*refusal)
         return None
 
-    def _dropped(self, exc: ConnectionError) -> None:
-        # the client is gone: nothing can be sent, so nothing is
+    def _dropped(self, exc: OSError) -> None:
+        # the client is gone or stalled past the timeout: nothing is sent
         logger.debug("connection from %s dropped: %r", self.client_address, exc)
         self.close_connection = True
 
@@ -173,7 +176,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send(404, {"error": f"no such endpoint {url.path}"})
         except ValidationError as exc:
             self._send(400, {"error": str(exc)})
-        except ConnectionError as exc:
+        except (ConnectionError, TimeoutError) as exc:
             self._dropped(exc)
         except Exception:
             logger.exception("unhandled error serving %s", self.path)
@@ -195,7 +198,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(400, {"error": str(exc)})
         except StorageError as exc:
             self._send(409, {"error": str(exc)})
-        except ConnectionError as exc:
+        except (ConnectionError, TimeoutError) as exc:
             self._dropped(exc)
         except Exception:
             logger.exception("unhandled error serving %s", self.path)

@@ -124,6 +124,22 @@ def ingest_demo_fixture(pipeline: EtlPipeline, tmp_path: Path,
     return ingest_text(pipeline, tmp_path, "StudentPerformance", text, tenant)
 
 
+# cube_student_performance rows for University1 in the layout of earlier
+# releases: a 0/1 presence flag after each attribute, then sum, count and
+# mean per aggregate, then the support
+EARLIER_LAYOUT_CUBE = (
+    "6,University1,,0,2016-17-SPR,1,FT,1,170,2,85.0,190,2,95.0,2\n"
+    "2,University1,,0,2016-17-SPR,1,,0,374,5,74.8,475,5,95.0,5\n"
+)
+
+
+def commit_earlier_layout_cube(store: SegmentStore) -> None:
+    """Commit EARLIER_LAYOUT_CUBE as the newest cube_student_performance."""
+    staged = store.staging_path("earlier_layout.cube")
+    staged.write_text(EARLIER_LAYOUT_CUBE, encoding="utf-8")
+    store.commit_batch("cube_student_performance", staged, row_count=2)
+
+
 def process_whole_file(path: Path, table, tenant: TenantKey = U1):
     """Run the ETL split worker on all of ``path`` as one split.
 

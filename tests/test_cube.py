@@ -25,7 +25,8 @@ from eduwarehouse.etl import EtlPipeline, SplitConfig
 from eduwarehouse.olap import QueryEngine, TenantContext
 
 from conftest import (
-    DEMO_FACTS, DIM_UPLOADS, PERF_HEADER, U1, U2, ingest_demo_fixture, ingest_text,
+    DEMO_FACTS, DEMO_TERM, DIM_UPLOADS, PERF_HEADER, U1, U2, ingest_demo_fixture,
+    ingest_text,
 )
 
 SPEC = builtin_cube_specs()["student_performance"]
@@ -370,7 +371,7 @@ def test_integer_measures_accumulate_exactly(store, pipeline, tmp_path):
     # integer measures accumulate in int arithmetic and render without a
     # decimal point, so huge head counts cannot drift
     stored = store.segments("cube_student_counts")[-1].path.read_text()
-    assert ",251,2," in stored
+    assert ",251,2\n" in stored
 
 
 def test_text_measure_rejected():
@@ -433,6 +434,29 @@ def test_overlapping_build_tolerates_versions_already_dropped(
     )
     assert engine_a.build(SPEC).version == 2
     assert [s.batch_id for s in store.segments(SPEC.table_name)] == [3]
+
+
+def test_empty_attribute_value_is_present_not_rolled_up(store, pipeline, tmp_path):
+    facts = [("s1", "CS101", DEMO_TERM, "FT", "80", "95", "A"),
+             ("s2", "CS101", DEMO_TERM, "FT", "70", "95", "")]
+    ingest_demo_fixture(pipeline, tmp_path, facts=facts)
+    spec = CubeSpec(
+        name="by_grade", fact="StudentPerformance",
+        mandatory_keys=("university_key",),
+        cube_attrs=("regtype_code", "grade"),
+        aggregates=(AggregateSpec("avg_marks", "marks"),),
+    )
+    CubeEngine(store).build(spec)
+    engine = QueryEngine(store, specs={"by_grade": spec}, catalog={})
+    ctx = TenantContext(U1, "t")
+    rows = engine.query_cube(ctx, "by_grade", set(range(4)))
+    # an empty grade is a present value at the masks that keep grade
+    blank = sorted((r for r in rows if r.attrs[1] == ""), key=lambda r: r.grouping_id)
+    assert [r.grouping_id for r in blank] == [0b10, 0b11]
+    assert all(r.sums == (70.0,) and r.support_count == 1 for r in blank)
+    assert all(r.attrs[1] is None for r in rows if not r.grouping_id & 0b10)
+    filtered = engine.query_cube(ctx, "by_grade", set(range(4)), [("grade", "")])
+    assert sorted(filtered, key=lambda r: r.grouping_id) == blank
 
 
 def test_cube_storage_row_parses_back(store, pipeline, tmp_path):

@@ -13,7 +13,7 @@ import pytest
 from eduwarehouse.auth import RegistryEntry, TenantRegistry, hash_secret
 from eduwarehouse.config import GatewayConfig
 from eduwarehouse.schema import builtin_schema
-from eduwarehouse.service import ServiceThread
+from eduwarehouse.service import ServiceThread, _Handler
 from eduwarehouse.store import SegmentStore
 
 from conftest import DEMO_TERM, DIM_UPLOADS, U1, ingest_demo_fixture
@@ -224,4 +224,21 @@ def test_client_gone_mid_body_logs_no_error(address, caplog):
     while not dropped() and time.monotonic() < deadline:
         time.sleep(0.01)
     assert dropped(), "the reset was never seen"
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == []
+
+
+def test_stalled_body_is_closed_after_the_timeout(tmp_path, monkeypatch, caplog):
+    monkeypatch.setattr(_Handler, "timeout", 0.3)
+    caplog.set_level(logging.DEBUG, logger="eduwarehouse.service")
+    with _serving(tmp_path) as st:
+        token = _token(st.address)
+        with socket.create_connection(st.address, timeout=5) as sock:
+            sock.sendall(_upload_head(token, 1000) + DIM_UPLOADS["Regtypes"][:10].encode())
+            t0 = time.monotonic()
+            reply = sock.makefile("rb").read()  # returns when the server closes
+            waited = time.monotonic() - t0
+        # closed without an answer: the client stalled, it did not err
+        assert reply == b"", reply
+        assert waited < 1.0, waited
+        assert st.service.store.segments("Regtypes") == []
     assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == []

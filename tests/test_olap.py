@@ -32,6 +32,7 @@ from conftest import (
     PERF_HEADER,
     U1,
     U2,
+    commit_earlier_layout_cube,
     ingest_demo_fixture,
     ingest_text,
 )
@@ -108,6 +109,17 @@ def test_filter_rolled_up_everywhere_warns_and_returns_empty(built, caplog):
     with caplog.at_level(logging.WARNING, logger="eduwarehouse.olap"):
         rows, timing = built.query_cube_timed(
             CTX1, "student_performance", {0b100}, [("time_code", DEMO_TERM)]
+        )
+    assert rows == [] and timing.cumulative == 0.0
+    assert any("rolled up in every requested mask" in r.message for r in caplog.records)
+
+
+def test_filters_no_mask_keeps_together_warn_and_return_empty(built, caplog):
+    # each filter attribute is kept by one requested mask, but none keeps both
+    with caplog.at_level(logging.WARNING, logger="eduwarehouse.olap"):
+        rows, timing = built.query_cube_timed(
+            CTX1, "student_performance", {0b110, 0b011},
+            [("course_code", "CS101"), ("regtype_code", "FT")],
         )
     assert rows == [] and timing.cumulative == 0.0
     assert any("rolled up in every requested mask" in r.message for r in caplog.records)
@@ -242,9 +254,11 @@ def _every_line_oracle(path, tenant, masks, filters):
     for line in path.read_text(encoding="utf-8").splitlines():
         fields = line.split(",")
         row = dict(zip(cols, fields))
-        if row["university_key"] != tenant.value or int(row["grouping_id"]) not in masks:
+        mask = int(row["grouping_id"])
+        if row["university_key"] != tenant.value or mask not in masks:
             continue
-        if all(row[f"{attr}_set"] == "1" and row[attr] == value for attr, value in filters):
+        if all(mask >> SPEC.cube_attrs.index(attr) & 1 and row[attr] == value
+               for attr, value in filters):
             found.append(parse_cube_row(SPEC, fields))
     return found
 
@@ -321,6 +335,16 @@ def test_report_not_ready_before_build(store, pipeline, tmp_path):
         QueryEngine(store).generate_report(
             CTX1, "avg_marks_by_regtype", {"time_code": DEMO_TERM}
         )
+
+
+def test_cube_in_an_earlier_layout_is_refused(store):
+    # read by position, its flag columns would stand where values belong
+    commit_earlier_layout_cube(store)
+    engine = QueryEngine(store)
+    with pytest.raises(StorageError, match="another layout"):
+        engine.query_cube(CTX1, "student_performance", {0b110})
+    with pytest.raises(StorageError, match="another layout"):
+        engine.generate_report(CTX1, "avg_marks_by_regtype", {"time_code": DEMO_TERM})
 
 
 def test_report_parameter_validation(built):

@@ -14,7 +14,9 @@ from eduwarehouse.schema import builtin_schema
 from eduwarehouse.service import ServiceThread
 from eduwarehouse.store import SegmentStore
 
-from conftest import DIM_UPLOADS, DEMO_FACTS, DEMO_TERM, PERF_HEADER, U1, U2
+from conftest import (
+    DIM_UPLOADS, DEMO_FACTS, DEMO_TERM, PERF_HEADER, U1, U2, commit_earlier_layout_cube,
+)
 
 GOLDEN_CSV = (
     "time_code,regtype_code,avg_marks\n"
@@ -288,6 +290,14 @@ def test_report_error_statuses(service, cold_service):
     status, raw = _request(cold_base, REPORT_PATH, token=cold_token)
     assert status == 409
     assert "has not been built" in json.loads(raw)["error"]
+
+
+def test_cube_in_an_earlier_layout_is_409(cold_service):
+    base, st = cold_service
+    commit_earlier_layout_cube(st.service.store)
+    status, raw = _request(base, REPORT_PATH, token=_login(base, "uni1", "pw-one"))
+    assert status == 409, raw
+    assert "another layout" in json.loads(raw)["error"]
 
 
 # ---- tenant isolation ----
