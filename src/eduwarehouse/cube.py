@@ -12,13 +12,18 @@ A cube row stores each fact once: the grouping_id says which attributes
 are present, each aggregate keeps only its sum, and support_count is the
 count of every aggregate, since a fact row that fails to parse any measure
 is excluded whole.  Means are sum / support, derived on read.  A build
-groups each fact row once by its raw fact columns (mandatory keys, plain
-attributes and join reference columns), resolves the dimension joins once
-per raw group, merges raw groups into the finest grouping, and rolls every
-coarser grouping up from those groups by adding accumulators.  Every
-shipped join is 1:1 except student_counts' Times -> year, whose measure is
-an INTEGER, so the result is byte-identical to summing row by row.  Built
-cubes are immutable and a rebuild replaces the previous version atomically.
+reads each fact segment whole, newest batch first, applies the store's
+keep-latest rule itself, and groups each kept row once by its raw fact
+columns (mandatory keys, plain attributes and join reference columns).  It
+resolves the dimension joins once per raw group, merges raw groups into
+the finest grouping, and rolls every coarser grouping up from those groups
+by adding accumulators.  Every shipped join is 1:1 except student_counts'
+Times -> year, whose measure is an INTEGER, so the result is
+byte-identical to summing row by row.  An engine remembers what its last
+build of a cube proves about the fact segments it listed, so the next
+build skips a segment whose every key newer segments have superseded.
+Built cubes are immutable and a rebuild replaces the previous version
+atomically.
 
 A cube segment holds its rows grouped by tenant, in ascending university_key
 order (Python ``str`` order, which is UTF-8 byte order), so ``tenant_range``
@@ -39,7 +44,7 @@ from operator import itemgetter
 
 from .errors import StorageError, ValidationError
 from .schema import INTEGER, TEXT, TableDef
-from .store import Segment, SegmentStore
+from .store import Segment, SegmentStore, segment_lines, torn_row
 
 logger = logging.getLogger(__name__)
 
@@ -138,15 +143,25 @@ class CubeSpec:
 
 @dataclass(frozen=True)
 class CubeRow:
-    """One materialized group: attrs[i] is None iff rolled up (bit i = 0)."""
+    """One materialized group: attrs[i] is None iff rolled up (bit i = 0).
+
+    ``counts`` and ``means`` are derived when read: every aggregate's count
+    is the support, and its mean is sum / support.
+    """
 
     grouping_id: int
     mandatory: tuple[str, ...]
     attrs: tuple[str | None, ...]
     sums: tuple[float, ...]
-    counts: tuple[int, ...]
-    means: tuple[float, ...]
     support_count: int
+
+    @property
+    def counts(self) -> tuple[int, ...]:
+        return (self.support_count,) * len(self.sums)
+
+    @property
+    def means(self) -> tuple[float, ...]:
+        return tuple(total / self.support_count for total in self.sums)
 
 
 def cube_columns(spec: CubeSpec) -> tuple[str, ...]:
@@ -163,19 +178,13 @@ def cube_columns(spec: CubeSpec) -> tuple[str, ...]:
 
 
 def parse_cube_row(spec: CubeSpec, fields: list[str]) -> CubeRow:
-    """Decode one stored cube segment row.
-
-    Presence comes from the grouping_id bits; every aggregate's count is
-    the support, and its mean is sum / support.
-    """
+    """Decode one stored cube segment row; presence comes from the grouping_id bits."""
     mask = int(fields[0])
     attrs_at = 1 + len(spec.mandatory_keys)
     sums_at = attrs_at + spec.k
     attrs = tuple(v if mask >> j & 1 else None for j, v in enumerate(fields[attrs_at:sums_at]))
     sums = tuple(float(total) for total in fields[sums_at:-1])
-    support = int(fields[-1])
-    means = tuple(total / support for total in sums)
-    return CubeRow(mask, tuple(fields[1:attrs_at]), attrs, sums, (support,) * len(sums), means, support)
+    return CubeRow(mask, tuple(fields[1:attrs_at]), attrs, sums, int(fields[-1]))
 
 
 def tenant_range(fh, spec: CubeSpec, tenant: str) -> tuple[int, int]:
@@ -234,7 +243,7 @@ class CubeBuildSummary:
     rows_excluded: int
     cube_rows: int
     build_seconds: float
-    # (batch_id, st_ctime_ns) of each fact segment the build read
+    # (batch_id, st_ctime_ns) of each fact segment in the build's listing
     fact_batches: tuple[tuple[int, int], ...]
 
     def to_report(self) -> str:
@@ -258,16 +267,55 @@ def _masked_indexes(k: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-class CubeEngine:
-    """Builds cubes from deduped fact scans and persists them as segments.
+@dataclass(frozen=True)
+class _Proof:
+    """What a committed build proves about the fact listing it read.
 
-    One pass over the fact scan aggregates each row into its raw group;
-    the raw groups resolve into the finest groups (every cube attribute
-    present), and each of the 2^k groupings is rolled up from those.
+    ``tenants`` maps the identity (batch_id, st_ctime_ns) of each listed
+    segment to the tenants whose rows it holds.  ``keys`` maps a tenant to
+    its buckets, each with every dedupe key seen in it over the whole
+    listing, but only for a tenant that build saw re-uploaded: one with a
+    row a newer row superseded, or a segment it skipped.  A proof is never
+    mutated once built.
+    """
+
+    tenants: dict
+    keys: dict
+
+    def superseded(self, identity: tuple[int, int], buckets: dict) -> bool:
+        """Whether every key the segment's tenants had is already in ``buckets``."""
+        for tenant in self.tenants[identity]:
+            had_buckets = self.keys.get(tenant)
+            if had_buckets is None:
+                return False
+            for bucket, had in had_buckets.items():
+                seen = buckets.get(bucket)
+                if seen is None or not had <= seen:
+                    return False
+        return True
+
+
+class CubeEngine:
+    """Builds cubes in one grouped pass over the fact segments and persists them.
+
+    The pass applies ``SegmentStore.scan``'s keep-latest rule while it adds
+    each kept row to its raw group; the raw groups resolve into the finest
+    groups (every cube attribute present), and each of the 2^k groupings is
+    rolled up from those.
+
+    After a build commits, the engine keeps, per cube spec, what that build
+    proves about its fact listing: each segment's identity and tenants, and
+    every key of each tenant it saw re-uploaded.  The next build of the
+    spec skips a segment of that listing whose tenants' keys are all seen
+    in newer segments, so a corrected re-upload does not re-read the batch
+    it replaces.  The state lives in memory only (a fresh engine reads
+    everything), and a lock guards it because builds can overlap.
     """
 
     def __init__(self, store: SegmentStore):
         self.store = store
+        self._proofs: dict[CubeSpec, _Proof] = {}
+        self._lock = threading.Lock()
 
     def _attr_sources(self, spec: CubeSpec, fact: TableDef):
         """Resolve each cube attribute to a fact column or a declared join.
@@ -318,8 +366,9 @@ class CubeEngine:
         Fact rows whose qualified references do not resolve to a dimension
         row (or whose measures fail to parse, which ETL should have made
         impossible) are excluded and counted, never errored.  The fact table
-        and each joined dimension are listed once; the scans read those
-        listings and nothing committed later.
+        and each joined dimension are listed once; the build reads those
+        listings and nothing committed later.  A failed build keeps no
+        state, so the next one reads as this one would have.
         """
         t_start = time.perf_counter()
         fact = self.store.schema.tables.get(spec.fact)
@@ -342,9 +391,11 @@ class CubeEngine:
         # the one fact listing: what the build reads is what its summary names
         fact_segments = self.store.segments(spec.fact)
         fact_batches = tuple((s.batch_id, s.path.stat().st_ctime_ns) for s in fact_segments)
+        with self._lock:
+            proof = self._proofs.get(spec)
 
-        finest, rows_scanned, rows_excluded = self._accumulate(
-            spec, fact_segments, plain, joined, mand_idx, measures
+        finest, rows_scanned, rows_excluded, proof = self._accumulate(
+            spec, fact, fact_segments, fact_batches, proof, plain, joined, mand_idx, measures
         )
         groups: dict = {}
         for mask, present in enumerate(_masked_indexes(spec.k)):
@@ -354,6 +405,8 @@ class CubeEngine:
                 groups[key] = acc if mine is None else merge_accumulators(mine, acc)
 
         segment = self._persist(spec, groups)
+        with self._lock:
+            self._proofs[spec] = proof
         build_seconds = time.perf_counter() - t_start
         summary = CubeBuildSummary(
             spec.name, segment.batch_id, rows_scanned, rows_excluded,
@@ -366,12 +419,37 @@ class CubeEngine:
         )
         return summary
 
-    def _accumulate(self, spec, fact_segments, plain, joined, mand_idx, measures):
-        """Aggregate the deduped rows of ``fact_segments`` at the finest grouping.
+    def _accumulate(
+        self, spec, fact, segments, identities, proof, plain, joined, mand_idx, measures
+    ):
+        """Aggregate the kept rows of ``segments`` at the finest grouping.
 
-        Rows are grouped by their raw fact columns (mandatory keys, plain
-        attributes and join reference columns), taken with one itemgetter;
-        each join map is then consulted once per raw group, not once per
+        One pass reads each segment whole, newest batch first, and splits
+        each line once.  A row is deduped inside its bucket, the raw-key
+        columns that belong to the natural key (university_key is always
+        one); its dedupe key is the rest of the natural key.  So the rule is
+        exactly ``SegmentStore.scan``'s: the newest batch wins, the first
+        occurrence within a segment wins, and a key counts as seen even
+        when its measures fail to parse.  A kept row is added to its raw
+        group, keyed by the raw fact columns (mandatory keys, plain
+        attributes and join reference columns).  For every shipped cube
+        the bucket holds the same columns as the raw group; a plain
+        attribute outside the natural key (a test spec's course_code or
+        grade) only makes the raw group finer than the bucket.
+
+        ``proof`` is the last committed build's, or None.  A listed segment
+        of it is skipped when all keys its tenants had at that build are
+        already seen in the newer segments this pass read first: it could
+        keep no row.  So the kept rows, their order, the raw groups'
+        first-kept order and every float sum are those of a full read.  A
+        segment committed since has a new identity (a batch id reused after
+        a drop comes with a new ctime), so it is always read.
+        The new proof keeps the keys of a tenant only when this build saw
+        it re-uploaded (a row of it superseded, or a segment of it
+        skipped), so a warehouse of tenants that each uploaded once keeps
+        none.
+
+        Each join map is then consulted once per raw group, not once per
         row.  A raw group whose references do not resolve adds its support
         to the excluded count.  Raw groups that resolve to one finest group
         (a many-to-one join such as Times -> year) are merged group by
@@ -381,34 +459,80 @@ class CubeEngine:
         exactly, so the cube is byte-identical to a row-by-row build.
 
         Returns {(mandatory, attrs): [support, sum0, sum1, ...]} with every
-        cube attribute present, plus the scanned and excluded row counts.
-        A row that fails to parse any measure is excluded whole, so the
-        support is every aggregate's count.
+        cube attribute present, the scanned and excluded row counts, and
+        this build's proof.  A row that fails to parse any measure is
+        excluded whole, so the support is every aggregate's count.
         """
+        cols = fact.storage_columns
+        width = len(cols)
         n_mand, n_plain = len(mand_idx), len(plain)
+        raw_idx = (*mand_idx, *(idx for idx, _ in plain), *(idx for idx, _, _ in joined))
+        natural = [cols.index(c) for c in fact.natural_key]
+        bucket_idx = tuple(i for i in raw_idx if i in natural)
+        dedupe_idx = tuple(i for i in natural if i not in raw_idx)
+        tenant_col = cols.index("university_key")
+        # a proof files each bucket under one tenant, its first column
+        if tenant_col not in bucket_idx:
+            raise ValidationError(f"{spec.fact}'s natural key must include university_key")
+        bucket_idx = (tenant_col, *(i for i in bucket_idx if i != tenant_col))
         # mandatory keys and cube attributes make at least two columns, so
-        # the key is always a tuple
-        raw_key = itemgetter(
-            *mand_idx, *(idx for idx, _ in plain), *(idx for idx, _, _ in joined)
-        )
-        raw: dict = {}  # raw key -> [support, sum0, sum1, ...]
+        # the raw key is always a tuple
+        raw_of = itemgetter(*raw_idx)
+        bucket_of = itemgetter(*bucket_idx)
+        # no dedupe columns: the bucket is the whole natural key
+        dedupe_of = itemgetter(*dedupe_idx) if dedupe_idx else (lambda fields: ())
+
+        buckets: dict = {}  # bucket key -> the dedupe keys seen in it
+        raw: dict = {}  # raw key -> [support, sum0, sum1, ...], in first-kept order
+        tenants: dict = {}  # segment identity -> its tenants
+        reuploaded: set = set()  # tenants with a superseded row or a skipped segment
         rows_scanned = 0
         rows_excluded = 0
         zeros = [0] * (1 + len(measures))
-        for fields in self.store.scan(spec.fact, fact_segments):
-            rows_scanned += 1
-            try:
-                values = [parse(fields[i]) for i, parse in measures]
-            except ValueError:
-                rows_excluded += 1
+        for seg, identity in zip(reversed(segments), reversed(identities)):
+            if proof and identity in proof.tenants and proof.superseded(identity, buckets):
+                tenants[identity] = proof.tenants[identity]
+                reuploaded |= tenants[identity]
                 continue
-            key = raw_key(fields)
-            acc = raw.get(key)
-            if acc is None:
-                acc = raw[key] = zeros.copy()
-            acc[0] += 1
-            for a, value in enumerate(values, 1):
-                acc[a] += value
+            in_segment = set()
+            kept_before = rows_scanned
+            lines = segment_lines(seg)
+            for line in lines:
+                fields = line.split(",")
+                if len(fields) != width:
+                    # an earlier equal line would have raised already
+                    raise torn_row(seg, lines.index(line) + 1, width, len(fields))
+                in_segment.add(fields[tenant_col])
+                bucket = bucket_of(fields)
+                seen = buckets.get(bucket)
+                if seen is None:
+                    seen = buckets[bucket] = set()
+                key = dedupe_of(fields)
+                if key in seen:
+                    continue
+                seen.add(key)
+                rows_scanned += 1
+                try:
+                    values = [parse(fields[i]) for i, parse in measures]
+                except ValueError:
+                    rows_excluded += 1
+                    continue
+                raw_key = raw_of(fields)
+                acc = raw.get(raw_key)
+                if acc is None:
+                    acc = raw[raw_key] = zeros.copy()
+                acc[0] += 1
+                for a, value in enumerate(values, 1):
+                    acc[a] += value
+            tenants[identity] = frozenset(in_segment)
+            if rows_scanned - kept_before < len(lines):
+                reuploaded |= tenants[identity]
+            del lines  # one segment's lines alive at a time, not two
+        keys: dict = {}
+        for bucket, seen in buckets.items():
+            tenant = bucket if len(bucket_idx) == 1 else bucket[0]
+            if tenant in reuploaded:
+                keys.setdefault(tenant, {})[bucket] = seen
 
         finest: dict = {}
         attr_slots: list = [None] * spec.k
@@ -428,7 +552,7 @@ class CubeEngine:
             group = (key[:n_mand], tuple(attr_slots))
             mine = finest.get(group)
             finest[group] = acc if mine is None else merge_accumulators(mine, acc)
-        return finest, rows_scanned, rows_excluded
+        return finest, rows_scanned, rows_excluded, _Proof(tenants, keys)
 
     def _persist(self, spec: CubeSpec, groups: dict) -> Segment:
         """Write the groups as the cube's next version and drop older ones.

@@ -36,6 +36,9 @@ from .config import GatewayConfig
 logger = logging.getLogger(__name__)
 
 _MAX_AUTH_BODY = 64 * 1024
+# bytes of an upload refused as too large that are read and discarded before
+# the connection closes, so a client still sending it can read the 413
+_MAX_DRAIN = 16 * 1024 * 1024
 
 # request fields the service never trusts; scope comes from the session
 _IGNORED_PARAMS = {"university_key", "tenant", "format"}
@@ -142,10 +145,11 @@ class _Handler(BaseHTTPRequestHandler):
             return super().handle_expect_100()
         return True
 
-    def _read_body(self) -> bytes | None:
+    def _read_body(self, drain_if_too_large: bool = False) -> bytes | None:
         # a refused body stays unread and would be parsed as the next
         # request, and a short one is an incomplete message, so each
-        # refusal closes the connection
+        # refusal closes the connection; an upload's refused body is first
+        # drained unless the client waits for 100 Continue
         refusal = self._body_refusal()
         if refusal is None:
             length = int(self.headers["Content-Length"])
@@ -156,7 +160,20 @@ class _Handler(BaseHTTPRequestHandler):
             refusal = 400, {"error": f"body ended after {len(raw)} of {length} bytes"}
         self.close_connection = True
         self._send(*refusal)
+        if (drain_if_too_large and refusal[0] == 413
+                and self.headers.get("Expect", "").lower() != "100-continue"):
+            self._drain(int(self.headers["Content-Length"]))
         return None
+
+    def _drain(self, length: int) -> None:
+        # closing with unread bytes resets the connection, and a client that
+        # is still writing its body never reads the answer (RFC 9112 §9.6)
+        remaining = min(length, _MAX_DRAIN)
+        while remaining > 0:
+            chunk = self.rfile.read(min(remaining, 64 * 1024))
+            if not chunk:
+                break
+            remaining -= len(chunk)
 
     def _dropped(self, exc: OSError) -> None:
         # the client is gone or stalled past the timeout: nothing is sent
@@ -234,7 +251,7 @@ class _Handler(BaseHTTPRequestHandler):
         if table not in self.svc.store.schema.tables:
             self._send(400, {"error": f"unknown table {table!r}"})
             return
-        raw = self._read_body()
+        raw = self._read_body(drain_if_too_large=True)
         if raw is None:
             return
         content_type = self.headers.get("Content-Type", "")

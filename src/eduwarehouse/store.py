@@ -158,19 +158,23 @@ class SegmentStore:
 
         The caller takes the listing (with ``segments``, ascending batch
         ids), so what it names is exactly what is read; a batch committed
-        after it is not seen.  Rows sharing a natural key collapse to the one
-        from the highest batch id.  Stream order is unspecified but
-        deterministic for a fixed listing.
+        after it is not seen.  This is the reference for the keep-latest
+        rule: rows stream newest batch first and, within a segment, in file
+        order; the first row of each natural key is kept and every later
+        one is dropped.  A key counts as seen once its first row is read,
+        whatever that row holds.  A row of the wrong field count raises
+        StorageError naming its segment and line.
         """
         table_def = self.schema.tables.get(table)
         if table_def is None:
             raise ValidationError(f"table {table!r} is not in the catalog")
+        width = len(table_def.storage_columns)
         # one C-level key per row: a bare str for a one-column natural key
         # (every dimension), a tuple for a fact's compound key
         key_of = itemgetter(*(table_def.storage_index(c) for c in table_def.natural_key))
         seen: set = set()
         for seg in reversed(segments):
-            for fields in self.read_segment(seg):
+            for fields in self.read_segment(seg, width):
                 key = key_of(fields)
                 if key in seen:
                     continue
@@ -178,11 +182,41 @@ class SegmentStore:
                 yield fields
 
     @staticmethod
-    def read_segment(seg: Segment) -> Iterator[list[str]]:
-        """Stream one segment's rows as field lists, no dedupe."""
+    def read_segment(seg: Segment, width: int | None = None) -> Iterator[list[str]]:
+        """Stream one segment's rows as field lists, no dedupe.
+
+        With ``width``, a row of any other field count (a torn segment)
+        raises StorageError naming the segment and the line.
+        """
         try:
             with open(seg.path, "r", encoding="utf-8", newline="") as fh:
-                for line in fh:
-                    yield line.rstrip("\n").split(",")
+                for number, line in enumerate(fh, 1):
+                    fields = line.rstrip("\n").split(",")
+                    if width is not None and len(fields) != width:
+                        raise torn_row(seg, number, width, len(fields))
+                    yield fields
         except OSError as exc:
             raise StorageError(f"segment {seg.path} unreadable: {exc}") from exc
+
+
+def segment_lines(seg: Segment) -> list[str]:
+    """One segment's rows as lines, read whole, without their line feeds.
+
+    For a caller that takes every row in one tight pass (the cube build);
+    ``read_segment`` streams instead.
+    """
+    try:
+        with open(seg.path, "r", encoding="utf-8", newline="") as fh:
+            lines = fh.read().split("\n")
+    except OSError as exc:
+        raise StorageError(f"segment {seg.path} unreadable: {exc}") from exc
+    if not lines[-1]:
+        lines.pop()  # the last row's line feed, or an empty file
+    return lines
+
+
+def torn_row(seg: Segment, line_number: int, width: int, found: int) -> StorageError:
+    """The error for a stored row whose field count is not the table's."""
+    return StorageError(
+        f"segment {seg.path} line {line_number}: expected {width} fields, found {found}"
+    )

@@ -2,11 +2,15 @@
 
 import itertools
 import random
+import sys
+import threading
 import time
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
 
+import eduwarehouse.store as store_module
 from eduwarehouse.errors import StorageError, ValidationError
 from eduwarehouse.cube import (
     AggregateSpec,
@@ -23,6 +27,7 @@ from eduwarehouse.cube import (
 )
 from eduwarehouse.etl import EtlPipeline, SplitConfig
 from eduwarehouse.olap import QueryEngine, TenantContext
+from eduwarehouse.schema import INTEGER
 
 from conftest import (
     DEMO_FACTS, DEMO_TERM, DIM_UPLOADS, PERF_HEADER, U1, U2, ingest_demo_fixture,
@@ -32,10 +37,15 @@ from conftest import (
 SPEC = builtin_cube_specs()["student_performance"]
 
 # the demo facts re-uploaded with 10 more marks each: same natural keys
-REMARKED_TEXT = PERF_HEADER + "\n" + "".join(
-    f"{sid},{course},{term},{reg},{int(marks) + 10},{att},{grade}\n"
-    for sid, course, term, reg, marks, att, grade in DEMO_FACTS
-)
+def _remarked(delta, facts=DEMO_FACTS):
+    """A StudentPerformance upload of ``facts`` with every mark raised by ``delta``."""
+    return PERF_HEADER + "\n" + "".join(
+        f"{sid},{course},{term},{reg},{int(marks) + delta},{att},{grade}\n"
+        for sid, course, term, reg, marks, att, grade in facts
+    )
+
+
+REMARKED_TEXT = _remarked(10)
 
 
 def _commit_after_first_listing(monkeypatch, store, table, commit):
@@ -469,6 +479,324 @@ def test_cube_storage_row_parses_back(store, pipeline, tmp_path):
         assert len(fields) == len(cols)
         row = parse_cube_row(SPEC, fields)
         assert 0 <= row.grouping_id < 8
+
+
+# ---- one grouped pass, and segments a previous build proves superseded ----
+
+COURSE_SPEC = CubeSpec(
+    name="by_course_code", fact="StudentPerformance",
+    mandatory_keys=("university_key",),
+    cube_attrs=("course_code", "time_code", "regtype_code"),
+    aggregates=(AggregateSpec("avg_marks", "marks"),
+                AggregateSpec("avg_per_att", "percent_attended")),
+)
+GRADE_SPEC = CubeSpec(
+    name="by_grade", fact="StudentPerformance",
+    mandatory_keys=("university_key",),
+    cube_attrs=("regtype_code", "grade"),
+    aggregates=(AggregateSpec("avg_marks", "marks"),),
+)
+SPR, AUT = "2016-17-SPR", "2016-17-AUT"
+
+
+def _fact_reads(monkeypatch, table="StudentPerformance"):
+    """Batch ids of ``table``'s segments opened from now on, in open order."""
+    opened = []
+    real = open
+
+    def recording_open(path, *args, **kwargs):
+        path = Path(path)
+        if path.parent.name == table and path.stem.isdigit():  # not the commit lock
+            opened.append(int(path.stem))
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(store_module, "open", recording_open, raising=False)
+    return opened
+
+
+def _cube_bytes(store, spec=SPEC):
+    return store.segments(spec.table_name)[-1].path.read_bytes()
+
+
+def _fresh_build_bytes(store, spec=SPEC):
+    """The cube file a new engine, which reads every segment, writes."""
+    CubeEngine(store).build(spec)
+    return _cube_bytes(store, spec)
+
+
+def _commit_rows(store, table, rows):
+    """Commit stored rows verbatim, as one segment of ``table``."""
+    staged = store.staging_path(f"rows_{len(store.segments(table))}.csv")
+    staged.write_text("".join(r + "\n" for r in rows), encoding="utf-8")
+    return store.commit_batch(table, staged).batch_id
+
+
+def _perf(tenant, sid, course, term, reg, marks, att="90", grade="A"):
+    t = tenant.value
+    return (f"{t},{sid},{t}_{sid},{course},{t}_{course},{term},{t}_{term},"
+            f"{reg},{t}_{reg},{marks},{att},{grade}")
+
+
+def _counts(tenant, dept, prog, term, heads):
+    t = tenant.value
+    return f"{t},{dept},{t}_{dept},{prog},{t}_{prog},{term},{t}_{term},{heads}"
+
+
+def _scan_oracle(store, spec):
+    """Every grouping of ``spec`` summed row by row from ``store.scan``.
+
+    Returns ({(mask, *mandatory, *attrs): [support, *sums]}, scanned,
+    excluded).  Measures are whole numbers, so sums are exact in any order.
+    """
+    fact = store.schema.tables[spec.fact]
+    col = fact.storage_columns.index
+    joins = {j.attribute: j for j in spec.dimension_joins}
+    maps = {}
+    for attr, join in joins.items():
+        dim = store.schema.tables[join.dimension]
+        key, value = dim.storage_index(dim.natural_key[0]), dim.storage_index(attr)
+        maps[attr] = {r[key]: r[value]
+                      for r in store.scan(join.dimension, store.segments(join.dimension))}
+    parses = [(col(a.source), int if fact.attribute(a.source).value_class == INTEGER
+               else float) for a in spec.aggregates]
+    out = {}
+    scanned = excluded = 0
+    for fields in store.scan(spec.fact, store.segments(spec.fact)):
+        scanned += 1
+        try:
+            values = [parse(fields[i]) for i, parse in parses]
+        except ValueError:
+            excluded += 1
+            continue
+        attrs = [maps[a].get(fields[col(joins[a].reference)]) if a in joins
+                 else fields[col(a)] for a in spec.cube_attrs]
+        if None in attrs:
+            excluded += 1
+            continue
+        mandatory = tuple(fields[col(c)] for c in spec.mandatory_keys)
+        for mask in range(1 << spec.k):
+            key = (mask, *mandatory, *(v if mask >> j & 1 else None for j, v in enumerate(attrs)))
+            acc = out.setdefault(key, [0] * (1 + len(values)))
+            acc[0] += 1
+            for a, value in enumerate(values, 1):
+                acc[a] += value
+    return out, scanned, excluded
+
+
+def _assert_matches_scan_oracle(store, engine, spec):
+    summary = engine.build(spec)
+    expected, scanned, excluded = _scan_oracle(store, spec)
+    got = {}
+    for line in _cube_bytes(store, spec).decode().splitlines():
+        row = parse_cube_row(spec, line.split(","))
+        got[(row.grouping_id, *row.mandatory, *row.attrs)] = [row.support_count, *row.sums]
+    assert got == expected
+    assert (summary.rows_scanned, summary.rows_excluded) == (scanned, excluded)
+    return summary
+
+
+def test_grouped_pass_matches_a_scan_oracle_on_messy_input(store, pipeline, tmp_path):
+    for tenant in (U1, U2):
+        for table, text in DIM_UPLOADS.items():
+            ingest_text(pipeline, tmp_path, table, text, tenant)
+        ingest_text(pipeline, tmp_path, "Programs", "program_code,program_name\nPRG01,CS\n",
+                    tenant)
+    specs = [SPEC, COURSE_SPEC, GRADE_SPEC, builtin_cube_specs()["student_counts"]]
+    batches = [
+        ("StudentPerformance", [  # U1: a duplicate key, an unresolved course, a bad measure
+            _perf(U1, "s1", "CS101", SPR, "FT", "80"),
+            _perf(U1, "s1", "CS101", SPR, "FT", "81"),
+            _perf(U1, "s2", "CS101", SPR, "PT", "70", grade="B"),
+            _perf(U1, "s3", "NOPE9", SPR, "FT", "60"),
+            _perf(U1, "s4", "CS101", AUT, "DL", "x"),
+            _perf(U1, "s5", "CS101", AUT, "FT", "55", grade="B")]),
+        ("StudentPerformance", [  # U2
+            _perf(U2, "s1", "CS101", SPR, "FT", "40"),
+            _perf(U2, "s2", "CS101", AUT, "PT", "45", grade="C")]),
+        ("StudentCounts", [
+            _counts(U1, "DEP01", "PRG01", SPR, "100"),
+            _counts(U1, "DEP01", "PRG01", SPR, "101"),
+            _counts(U1, "DEP01", "PRG01", AUT, "150"),
+            _counts(U1, "DEP99", "PRG01", AUT, "12")]),
+        ("StudentPerformance", [  # U1, partial: supersedes s1 and the bad s4
+            _perf(U1, "s1", "CS101", SPR, "FT", "90"),
+            _perf(U1, "s4", "CS101", AUT, "DL", "65"),
+            _perf(U1, "s6", "CS101", SPR, "DL", "77", grade=""),
+            _perf(U1, "s6", "CS101", SPR, "DL", "78")]),
+    ]
+    engines = {spec.name: CubeEngine(store) for spec in specs}
+
+    def commit_and_check(new_batches):
+        for table, rows in new_batches:
+            _commit_rows(store, table, rows)
+        for spec in specs:
+            _assert_matches_scan_oracle(store, engines[spec.name], spec)
+            kept = _cube_bytes(store, spec)
+            assert _fresh_build_bytes(store, spec) == kept
+
+    commit_and_check(batches)
+    # U1 again, every key: a bad measure now supersedes s4, s5's grade moves,
+    # s7 is new; U1's earlier segments are superseded whole
+    commit_and_check([("StudentPerformance", [
+        _perf(U1, "s1", "CS101", SPR, "FT", "95"),
+        _perf(U1, "s2", "CS101", SPR, "PT", "71", grade="B"),
+        _perf(U1, "s3", "NOPE9", SPR, "FT", "61"),
+        _perf(U1, "s4", "CS101", AUT, "DL", "y"),
+        _perf(U1, "s5", "CS101", AUT, "FT", "56", grade="C"),
+        _perf(U1, "s6", "CS101", SPR, "DL", "79"),
+        _perf(U1, "s7", "CS101", AUT, "PT", "88")]),
+        ("StudentCounts", [_counts(U1, "DEP01", "PRG01", SPR, "103")])])
+    # U2 in part, and every StudentCounts key again
+    commit_and_check([("StudentPerformance", [_perf(U2, "s2", "CS101", AUT, "FT", "47")]),
+                      ("StudentCounts", [
+                          _counts(U1, "DEP01", "PRG01", SPR, "104"),
+                          _counts(U1, "DEP01", "PRG01", AUT, "151"),
+                          _counts(U1, "DEP99", "PRG01", AUT, "13")])])
+
+
+def test_full_reupload_skips_the_batch_it_replaces(store, pipeline, tmp_path, monkeypatch):
+    ingest_demo_fixture(pipeline, tmp_path)
+    engine = CubeEngine(store)
+    engine.build(SPEC)
+    # the first re-upload is read whole: a tenant uploaded once keeps no keys
+    ingest_text(pipeline, tmp_path, "StudentPerformance", REMARKED_TEXT)
+    opened = _fact_reads(monkeypatch)
+    engine.build(SPEC)
+    assert opened == [2, 1]
+    ingest_text(pipeline, tmp_path, "StudentPerformance", _remarked(20))
+    summary = engine.build(SPEC)
+    assert opened == [2, 1, 3]
+    assert [b for b, _ in summary.fact_batches] == [1, 2, 3]
+    assert (summary.rows_scanned, _total_marks(store)) == (6, (544, 6))
+    skipped = _cube_bytes(store)
+    assert _fresh_build_bytes(store) == skipped
+    assert opened == [2, 1, 3, 3, 2, 1]
+
+
+def test_only_a_reuploaded_tenant_keeps_its_keys(store, pipeline, tmp_path):
+    ingest_demo_fixture(pipeline, tmp_path, U1)
+    ingest_demo_fixture(pipeline, tmp_path, U2)
+    engine = CubeEngine(store)
+    engine.build(SPEC)
+    assert engine._proofs[SPEC].keys == {}
+    ingest_text(pipeline, tmp_path, "StudentPerformance", REMARKED_TEXT, U1)
+    engine.build(SPEC)
+    assert set(engine._proofs[SPEC].keys) == {U1.value}
+
+
+def test_partial_reupload_still_reads_the_older_batch(store, pipeline, tmp_path, monkeypatch):
+    ingest_demo_fixture(pipeline, tmp_path)
+    engine = CubeEngine(store)
+    engine.build(SPEC)
+    ingest_text(pipeline, tmp_path, "StudentPerformance", REMARKED_TEXT)
+    engine.build(SPEC)
+    # one row of every raw group, but sFT1 and sPT1 only in batches 1 and 2
+    ingest_text(pipeline, tmp_path, "StudentPerformance",
+                _remarked(20, [*DEMO_FACTS[0::2], DEMO_FACTS[5]]))
+    opened = _fact_reads(monkeypatch)
+    engine.build(SPEC)
+    assert opened == [3, 2]  # batch 2 holds every key batch 1 had
+    assert _total_marks(store) == (524, 6)
+    assert _fresh_build_bytes(store) == _cube_bytes(store)
+
+
+def test_dropping_the_newest_batch_shows_the_older_rows_again(
+    store, pipeline, tmp_path, monkeypatch
+):
+    ingest_demo_fixture(pipeline, tmp_path)
+    engine = CubeEngine(store)
+    engine.build(SPEC)
+    ingest_text(pipeline, tmp_path, "StudentPerformance", REMARKED_TEXT)
+    engine.build(SPEC)
+    assert _total_marks(store) == (484, 6)
+    store.drop_batch("StudentPerformance", 2)
+    opened = _fact_reads(monkeypatch)
+    engine.build(SPEC)
+    assert opened == [1]
+    assert _total_marks(store) == (424, 6)
+
+
+def test_reused_batch_id_is_read_not_skipped(store, pipeline, tmp_path, monkeypatch):
+    ingest_demo_fixture(pipeline, tmp_path)
+    engine = CubeEngine(store)
+    engine.build(SPEC)
+    ingest_text(pipeline, tmp_path, "StudentPerformance", REMARKED_TEXT)
+    engine.build(SPEC)
+    store.drop_batch("StudentPerformance", 2)
+    time.sleep(0.02)  # file ctimes tick every few ms; let the new one differ
+    segment = ingest_text(pipeline, tmp_path, "StudentPerformance", _remarked(20)).segment
+    assert segment.batch_id == 2
+    opened = _fact_reads(monkeypatch)
+    engine.build(SPEC)
+    assert 2 in opened
+    assert _total_marks(store) == (544, 6)
+    assert _fresh_build_bytes(store) == _cube_bytes(store)
+
+
+def test_one_tenants_reupload_skips_only_its_own_batch(store, pipeline, tmp_path, monkeypatch):
+    ingest_demo_fixture(pipeline, tmp_path, U1)
+    ingest_demo_fixture(pipeline, tmp_path, U2)
+    engine = CubeEngine(store)
+    engine.build(SPEC)
+    ingest_text(pipeline, tmp_path, "StudentPerformance", REMARKED_TEXT, U1)
+    engine.build(SPEC)
+    ingest_text(pipeline, tmp_path, "StudentPerformance", _remarked(20), U1)
+    opened = _fact_reads(monkeypatch)
+    engine.build(SPEC)
+    assert opened == [4, 2]
+    assert _total_marks(store) == (544, 6)
+    u2 = QueryEngine(store).query_cube(TenantContext(U2, "t"), "student_performance", {0})
+    assert (u2[0].sums[0], u2[0].support_count) == (424, 6)
+    skipped = _cube_bytes(store)
+    assert _fresh_build_bytes(store) == skipped
+
+
+def test_overlapping_builds_through_one_engine_stay_exact(store, pipeline, tmp_path):
+    # four threads rebuild through one engine while re-uploads land; a lost
+    # or stale proof would let a later build skip rows it must keep
+    ingest_demo_fixture(pipeline, tmp_path, U1)
+    ingest_demo_fixture(pipeline, tmp_path, U2)
+    engine = CubeEngine(store)
+    errors, stop = [], threading.Event()
+
+    def rebuild():
+        try:
+            while not stop.is_set():
+                engine.build(SPEC)
+        except Exception as exc:  # the test reports it below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=rebuild) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for step in range(6):
+            tenant = (U1, U2)[step % 2]
+            facts = DEMO_FACTS if step < 4 else DEMO_FACTS[::2]  # then partial
+            _commit_rows(store, "StudentPerformance", [
+                _perf(tenant, sid, course, term, reg, int(marks) + step, att, grade)
+                for sid, course, term, reg, marks, att, grade in facts])
+            time.sleep(0.01)
+        stop.set()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    engine.build(SPEC)
+    assert _total_marks(store) == (424 + 3 * 4 + 3 * 2, 6)  # U1: steps 4 (partial) and 2
+    assert _fresh_build_bytes(store) == _cube_bytes(store)
+
+
+def test_torn_fact_segment_is_a_storage_error(store, pipeline, tmp_path):
+    seg = ingest_demo_fixture(pipeline, tmp_path).segment
+    seg.path.write_bytes(seg.path.read_bytes()[:-30])
+    with pytest.raises(StorageError, match=rf"{seg.path} line 6: expected 12 fields"):
+        CubeEngine(store).build(SPEC)
+    assert store.segments(SPEC.table_name) == []
 
 
 # ---- refresher ----

@@ -136,6 +136,27 @@ def test_refused_expect_100_body_is_not_invited(small_limit_address, length, sta
         assert b"100 Continue" not in reply.read()
 
 
+def test_oversized_body_sent_without_expect_gets_its_413(small_limit_address):
+    # the client writes the whole body before it reads; a close with the
+    # body unread would reset the connection under it
+    # ~12 MB: more than loopback socket buffers take, less than the drain reads
+    body = b"regtype_code,regtype_name\n" + b"FT,Full time\n" * 900_000
+    status, raw = _post(small_limit_address, "/upload?table=Regtypes", body,
+                        str(len(body)), _token(small_limit_address))
+    assert status == 413, raw
+    assert json.loads(raw)["upload_limit"] == 1024
+
+
+def test_oversized_auth_body_is_not_drained(address):
+    # /auth needs no session: a declared body over its limit is refused and
+    # the connection closed at once, with none of the body read
+    with socket.create_connection(address, timeout=5) as sock:
+        sock.sendall(b"POST /auth HTTP/1.1\r\nHost: eduwh\r\n"
+                     b"Content-Length: 4000000\r\n\r\n")
+        reply = sock.makefile("rb").read()  # a drain would wait for the body
+    assert reply.startswith(b"HTTP/1.1 413 "), reply
+
+
 def test_accepted_expect_100_body_is_invited(address):
     token = _token(address)
     body = DIM_UPLOADS["Regtypes"].encode()

@@ -182,6 +182,13 @@ def test_read_segment_streams_raw_rows(store):
     assert list(store.read_segment(seg)) == [["a", "b"], ["c", "d"]]
 
 
+def test_scan_refuses_a_row_of_the_wrong_field_count(store):
+    text = "University1_D1,D1,x\nUniversity1_D2,D2\n"  # the last row torn
+    seg = store.commit_batch("Departments", _stage(store, "a", text), 2)
+    with pytest.raises(StorageError, match=rf"{seg.path} line 2: expected 3 fields, found 2"):
+        _scan(store, "Departments")
+
+
 def test_count_rows_handles_missing_trailing_newline(tmp_path):
     p = tmp_path / "f"
     p.write_bytes(b"a\nb\nc")
