@@ -102,7 +102,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_build_cube(args) -> int:
     cfg = _load(args)
-    engine = CubeEngine(_store(cfg))
+    engine = CubeEngine(_store(cfg), cfg.worker_pool_size, cfg.s_b)
     specs = builtin_cube_specs()
     if args.cube:
         if args.cube not in specs:

@@ -25,6 +25,12 @@ build skips a segment whose every key newer segments have superseded.
 Built cubes are immutable and a rebuild replaces the previous version
 atomically.
 
+Since every cube row belongs to one tenant, a cube is distributive over
+tenants: a build of a large multi-tenant listing runs as tenant-disjoint
+units, one in the building thread and the rest in forked worker
+processes, each rolling up and rendering its own tenants' rows.  A
+listing of one tenant, or one too small to split, builds inline.
+
 A cube segment holds its rows grouped by tenant, in ascending university_key
 order (Python ``str`` order, which is UTF-8 byte order), so ``tenant_range``
 finds one tenant's rows as a single byte range by binary search over line
@@ -34,10 +40,12 @@ starts.  The file carries no index: every line is one cube row.
 from __future__ import annotations
 
 import logging
+import multiprocessing
 import threading
 import time
 import uuid
 from collections import deque
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
@@ -49,6 +57,8 @@ from .store import Segment, SegmentStore, segment_lines, torn_row
 logger = logging.getLogger(__name__)
 
 MAX_CUBE_ATTRS = 62
+
+_FORK = multiprocessing.get_context("fork")
 
 AVG = "avg"
 
@@ -245,6 +255,11 @@ class CubeBuildSummary:
     build_seconds: float
     # (batch_id, st_ctime_ns) of each fact segment in the build's listing
     fact_batches: tuple[tuple[int, int], ...]
+    # listed fact segments read, and skipped as proven superseded
+    segments_read: int
+    segments_skipped: int
+    # tenant-disjoint units the build ran, 1 when it ran inline
+    units: int
 
     def to_report(self) -> str:
         lines = [
@@ -255,6 +270,9 @@ class CubeBuildSummary:
             f"cube_rows: {self.cube_rows}",
             f"build_seconds: {self.build_seconds:.3f}",
             f"fact_batches: {','.join(str(b) for b, _ in self.fact_batches) or '-'}",
+            f"segments_read: {self.segments_read}",
+            f"segments_skipped: {self.segments_skipped}",
+            f"units: {self.units}",
         ]
         return "\n".join(lines) + "\n"
 
@@ -265,6 +283,14 @@ def _masked_indexes(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(
         tuple(j for j in range(k) if mask >> j & 1) for mask in range(1 << k)
     )
+
+
+def _projection(positions: tuple[int, ...]):
+    """A function from a finest group's key to the tuple of its ``positions``."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    p = positions[0]
+    return lambda key: (key[p],)
 
 
 @dataclass(frozen=True)
@@ -295,6 +321,275 @@ class _Proof:
         return True
 
 
+def unit_count(listing_bytes: int, tenants: int, worker_pool_size: int, s_b: int) -> int:
+    """How many tenant-disjoint units a build of a fact listing runs.
+
+    One per ``s_b`` bytes of the listing, but no more than its tenants or
+    the worker pool, and at least one.  So a listing under 2 x ``s_b``
+    bytes builds inline, as an upload of one split does.
+    """
+    return max(1, min(worker_pool_size, tenants, listing_bytes // s_b))
+
+
+def _first_tenant(seg: Segment, tenant_col: int) -> str:
+    """The university_key of a segment's first row; '' when it has none."""
+    try:
+        with open(seg.path, "r", encoding="utf-8", newline="") as fh:
+            fields = fh.readline().rstrip("\n").split(",", tenant_col + 1)
+    except OSError as exc:
+        raise StorageError(f"segment {seg.path} unreadable: {exc}") from exc
+    return fields[tenant_col] if len(fields) > tenant_col else ""
+
+
+class _UnitPlan:
+    """Everything the units of one build share, fixed before any unit runs.
+
+    Join maps are built once, in the building process; a forked unit
+    inherits the plan instead of receiving it pickled.
+    """
+
+    def __init__(self, spec, fact, segments, identities, proof, plain, joined, mand_idx,
+                 measures):
+        cols = fact.storage_columns
+        self.spec = spec
+        self.segments = segments
+        self.identities = identities
+        self.proof = proof
+        self.plain = plain
+        self.joined = joined
+        self.measures = measures
+        self.width = len(cols)
+        self.n_mand = len(mand_idx)
+        raw_idx = (*mand_idx, *(idx for idx, _ in plain), *(idx for idx, _, _ in joined))
+        natural = [cols.index(c) for c in fact.natural_key]
+        bucket_idx = tuple(i for i in raw_idx if i in natural)
+        dedupe_idx = tuple(i for i in natural if i not in raw_idx)
+        self.tenant_col = cols.index("university_key")
+        # a proof files each bucket under one tenant, its first column
+        if self.tenant_col not in bucket_idx:
+            raise ValidationError(f"{spec.fact}'s natural key must include university_key")
+        bucket_idx = (self.tenant_col, *(i for i in bucket_idx if i != self.tenant_col))
+        self.bucket_is_tenant = len(bucket_idx) == 1
+        # mandatory keys and cube attributes make at least two columns, so
+        # the raw key is always a tuple
+        self.raw_of = itemgetter(*raw_idx)
+        self.bucket_of = itemgetter(*bucket_idx)
+        # no dedupe columns: the bucket is the whole natural key
+        self.dedupe_of = itemgetter(*dedupe_idx) if dedupe_idx else (lambda fields: ())
+
+
+@dataclass(frozen=True)
+class _UnitResult:
+    """One unit's share of a build: its tenants' cube lines and its counts."""
+
+    chunks: dict  # tenant -> that tenant's cube lines, in build order
+    cube_rows: int
+    rows_scanned: int
+    rows_excluded: int
+    tenants: dict  # identity of each segment in the unit -> its tenants
+    keys: dict  # the unit's share of the proof's keys
+    segments_read: int
+    segments_skipped: int
+
+
+def _build_unit(plan: _UnitPlan, members) -> _UnitResult:
+    """Build the listing positions ``members`` of ``plan`` end to end.
+
+    The keep-latest pass, the proof skip, the join resolution, the roll-up
+    and the rendering of the unit's cube lines, per tenant.  Every cube row
+    holds one tenant, so when no tenant has rows outside ``members`` the
+    unit's lines are exactly the lines a build of the whole listing writes
+    for its tenants.
+    """
+    finest, scanned, excluded, tenants, keys, read = _accumulate(plan, members)
+    chunks, cube_rows = _render(plan.spec, _roll_up(finest, plan.n_mand, plan.spec.k))
+    return _UnitResult(chunks, cube_rows, scanned, excluded, tenants, keys,
+                       read, len(members) - read)
+
+
+def _accumulate(plan: _UnitPlan, members):
+    """Aggregate the kept rows of the segments at ``members`` at the finest grouping.
+
+    One pass reads each segment whole, newest batch first, and splits
+    each line once.  A row is deduped inside its bucket, the raw-key
+    columns that belong to the natural key (university_key is always
+    one); its dedupe key is the rest of the natural key.  So the rule is
+    exactly ``SegmentStore.scan``'s: the newest batch wins, the first
+    occurrence within a segment wins, and a key counts as seen even
+    when its measures fail to parse.  A kept row is added to its raw
+    group, keyed by the raw fact columns (mandatory keys, plain
+    attributes and join reference columns).  For every shipped cube
+    the bucket holds the same columns as the raw group; a plain
+    attribute outside the natural key (a test spec's course_code or
+    grade) only makes the raw group finer than the bucket.
+
+    ``plan.proof`` is the last committed build's, or None.  A listed
+    segment of it is skipped when all keys its tenants had at that build
+    are already seen in the newer segments this pass read first: it could
+    keep no row.  So the kept rows, their order, the raw groups'
+    first-kept order and every float sum are those of a full read.  A
+    segment committed since has a new identity (a batch id reused after
+    a drop comes with a new ctime), so it is always read.
+    The new proof keeps the keys of a tenant only when this build saw
+    it re-uploaded (a row of it superseded, or a segment of it
+    skipped), so a warehouse of tenants that each uploaded once keeps
+    none.
+
+    Each join map is then consulted once per raw group, not once per
+    row.  A raw group whose references do not resolve adds its support
+    to the excluded count.  Raw groups that resolve to one finest group
+    (a many-to-one join such as Times -> year) are merged group by
+    group, so a float measure behind such a join is summed in the order
+    the roll-up already uses.  Every shipped join is 1:1 except
+    student_counts' Times -> year, whose measure is an INTEGER and sums
+    exactly, so the cube is byte-identical to a row-by-row build.
+
+    Returns {(*mandatory, *attrs): [support, sum0, sum1, ...]} with every
+    cube attribute present, the scanned and excluded row counts, each
+    segment's tenants, the proof's keys and the number of segments read.
+    A row that fails to parse any measure is excluded whole, so the
+    support is every aggregate's count.
+    """
+    proof, measures, width, tenant_col = plan.proof, plan.measures, plan.width, plan.tenant_col
+    raw_of, bucket_of, dedupe_of = plan.raw_of, plan.bucket_of, plan.dedupe_of
+    buckets: dict = {}  # bucket key -> the dedupe keys seen in it
+    raw: dict = {}  # raw key -> [support, sum0, sum1, ...], in first-kept order
+    tenants: dict = {}  # segment identity -> its tenants
+    reuploaded: set = set()  # tenants with a superseded row or a skipped segment
+    rows_scanned = 0
+    rows_excluded = 0
+    segments_read = 0
+    zeros = [0] * (1 + len(measures))
+    for pos in reversed(members):
+        seg, identity = plan.segments[pos], plan.identities[pos]
+        if proof and identity in proof.tenants and proof.superseded(identity, buckets):
+            tenants[identity] = proof.tenants[identity]
+            reuploaded |= tenants[identity]
+            continue
+        segments_read += 1
+        in_segment = set()
+        kept_before = rows_scanned
+        lines = segment_lines(seg)
+        for line in lines:
+            fields = line.split(",")
+            if len(fields) != width:
+                # an earlier equal line would have raised already
+                raise torn_row(seg, lines.index(line) + 1, width, len(fields))
+            in_segment.add(fields[tenant_col])
+            bucket = bucket_of(fields)
+            seen = buckets.get(bucket)
+            if seen is None:
+                seen = buckets[bucket] = set()
+            key = dedupe_of(fields)
+            if key in seen:
+                continue
+            seen.add(key)
+            rows_scanned += 1
+            try:
+                values = [parse(fields[i]) for i, parse in measures]
+            except ValueError:
+                rows_excluded += 1
+                continue
+            raw_key = raw_of(fields)
+            acc = raw.get(raw_key)
+            if acc is None:
+                acc = raw[raw_key] = zeros.copy()
+            acc[0] += 1
+            for a, value in enumerate(values, 1):
+                acc[a] += value
+        tenants[identity] = frozenset(in_segment)
+        if rows_scanned - kept_before < len(lines):
+            reuploaded |= tenants[identity]
+        del lines  # one segment's lines alive at a time, not two
+    keys: dict = {}
+    for bucket, seen in buckets.items():
+        tenant = bucket if plan.bucket_is_tenant else bucket[0]
+        if tenant in reuploaded:
+            keys.setdefault(tenant, {})[bucket] = seen
+
+    n_mand, n_plain = plan.n_mand, len(plan.plain)
+    finest: dict = {}
+    slots: list = [None] * (n_mand + plan.spec.k)
+    for key, acc in raw.items():
+        for p in range(n_mand):
+            slots[p] = key[p]
+        for p, (_, slot) in enumerate(plan.plain, n_mand):
+            slots[n_mand + slot] = key[p]
+        resolved = True
+        for p, (_, slot, mapping) in enumerate(plan.joined, n_mand + n_plain):
+            value = mapping.get(key[p])
+            if value is None:
+                resolved = False
+                break
+            slots[n_mand + slot] = value
+        if not resolved:
+            rows_excluded += acc[0]
+            continue
+        group = tuple(slots)
+        mine = finest.get(group)
+        finest[group] = acc if mine is None else merge_accumulators(mine, acc)
+    return finest, rows_scanned, rows_excluded, tenants, keys, segments_read
+
+
+def _roll_up(finest: dict, n_mand: int, k: int) -> list[dict]:
+    """Each mask's groups, {(*mandatory, *present values): accumulator}.
+
+    A coarser group starts as a copy of the first finest group it rolls
+    up, in first-kept order, and adds each later one in place; these are
+    the additions ``merge_accumulators`` makes, in the same order.  The
+    finest accumulators are never mutated.
+    """
+    rolled = []
+    for present in _masked_indexes(k):
+        project = _projection((*range(n_mand), *(n_mand + j for j in present)))
+        groups: dict = {}
+        for group, acc in finest.items():
+            key = project(group)
+            mine = groups.get(key)
+            if mine is None:
+                groups[key] = acc.copy()
+            else:
+                for i, value in enumerate(acc):
+                    mine[i] += value
+        rolled.append(groups)
+    return rolled
+
+
+def _render(spec: CubeSpec, rolled: list[dict]) -> tuple[dict, int]:
+    """Each tenant's cube lines in build order (mask by mask), and the row count."""
+    k, n_mand = spec.k, len(spec.mandatory_keys)
+    tenant_at = spec.mandatory_keys.index("university_key")
+    lines: dict = {}
+    for mask, (present, groups) in enumerate(zip(_masked_indexes(k), rolled)):
+        head = str(mask)
+        for key, acc in groups.items():
+            cells = [""] * k
+            for value, j in zip(key[n_mand:], present):
+                cells[j] = value
+            line = ",".join((head, *key[:n_mand], *cells, *map(repr, acc[1:]), str(acc[0])))
+            mine = lines.get(key[tenant_at])
+            if mine is None:
+                mine = lines[key[tenant_at]] = []
+            mine.append(line)
+    chunks = {tenant: "\n".join(rows) + "\n" for tenant, rows in lines.items()}
+    return chunks, sum(map(len, lines.values()))
+
+
+# set only inside a forked build worker, by _adopt_plan
+_adopted_plan: _UnitPlan | None = None
+
+
+def _adopt_plan(plan: _UnitPlan) -> None:
+    # a forked worker's initializer: its arguments reach it with the fork's
+    # copy of memory, not through a pickle
+    global _adopted_plan
+    _adopted_plan = plan
+
+
+def _build_adopted_unit(members) -> _UnitResult:
+    return _build_unit(_adopted_plan, members)
+
+
 class CubeEngine:
     """Builds cubes in one grouped pass over the fact segments and persists them.
 
@@ -302,6 +597,18 @@ class CubeEngine:
     each kept row to its raw group; the raw groups resolve into the finest
     groups (every cube attribute present), and each of the 2^k groupings is
     rolled up from those.
+
+    Every cube row holds one tenant, so a build splits its fact listing
+    into at most ``worker_pool_size`` tenant-disjoint units
+    (``unit_count``), balanced by segment bytes: each segment goes with
+    the tenant of its first row.  The building thread runs one unit and
+    forked workers run the rest.  Each unit does the whole build for its
+    tenants, up to rendering their cube lines, and the persisted file is
+    those lines in tenant order, byte-identical to a build in one unit.
+    If two units read one tenant (a segment holding several tenants), the
+    build runs again as one unit.  A listing of one tenant or under
+    2 x ``s_b`` bytes builds inline in the calling thread, as does every
+    build of an engine made with the default pool of one.
 
     After a build commits, the engine keeps, per cube spec, what that build
     proves about its fact listing: each segment's identity and tenants, and
@@ -312,8 +619,12 @@ class CubeEngine:
     everything), and a lock guards it because builds can overlap.
     """
 
-    def __init__(self, store: SegmentStore):
+    def __init__(self, store: SegmentStore, worker_pool_size: int = 1, s_b: int = 1):
+        if worker_pool_size < 1 or s_b < 1:
+            raise ValidationError("worker_pool_size and s_b must be >= 1")
         self.store = store
+        self.worker_pool_size = worker_pool_size
+        self.s_b = s_b
         self._proofs: dict[CubeSpec, _Proof] = {}
         self._lock = threading.Lock()
 
@@ -390,194 +701,107 @@ class CubeEngine:
 
         # the one fact listing: what the build reads is what its summary names
         fact_segments = self.store.segments(spec.fact)
-        fact_batches = tuple((s.batch_id, s.path.stat().st_ctime_ns) for s in fact_segments)
+        stats = [s.path.stat() for s in fact_segments]
+        fact_batches = tuple((s.batch_id, st.st_ctime_ns) for s, st in zip(fact_segments, stats))
         with self._lock:
             proof = self._proofs.get(spec)
+        plan = _UnitPlan(spec, fact, fact_segments, fact_batches, proof, plain, joined,
+                         mand_idx, measures)
+        units = self._units(plan, [st.st_size for st in stats])
+        results = self._run_units(plan, units)
+        read_by = [frozenset().union(*r.tenants.values()) for r in results]
+        if len(results) > 1 and sum(map(len, read_by)) > len(frozenset().union(*read_by)):
+            logger.warning("a %s segment holds several tenants; building %s as one unit",
+                           spec.fact, spec.name)
+            results = [_build_unit(plan, range(len(fact_segments)))]
 
-        finest, rows_scanned, rows_excluded, proof = self._accumulate(
-            spec, fact, fact_segments, fact_batches, proof, plain, joined, mand_idx, measures
-        )
-        groups: dict = {}
-        for mask, present in enumerate(_masked_indexes(spec.k)):
-            for (mandatory, attrs), acc in finest.items():
-                key = (mask, mandatory, tuple(attrs[j] for j in present))
-                mine = groups.get(key)
-                groups[key] = acc if mine is None else merge_accumulators(mine, acc)
-
-        segment = self._persist(spec, groups)
+        chunks: dict = {}
+        for result in results:
+            chunks.update(result.chunks)
+        cube_rows = sum(r.cube_rows for r in results)
+        segment = self._persist(spec, chunks, cube_rows)
+        tenants: dict = {}
+        keys: dict = {}
+        for result in results:
+            tenants.update(result.tenants)
+            keys.update(result.keys)
         with self._lock:
-            self._proofs[spec] = proof
+            self._proofs[spec] = _Proof(tenants, keys)
+        rows_scanned = sum(r.rows_scanned for r in results)
+        rows_excluded = sum(r.rows_excluded for r in results)
         build_seconds = time.perf_counter() - t_start
         summary = CubeBuildSummary(
-            spec.name, segment.batch_id, rows_scanned, rows_excluded,
-            len(groups), build_seconds, fact_batches,
+            spec.name, segment.batch_id, rows_scanned, rows_excluded, cube_rows,
+            build_seconds, fact_batches, sum(r.segments_read for r in results),
+            sum(r.segments_skipped for r in results), len(results),
         )
         logger.info(
-            "built cube %s v%d: %d rows from %d facts (%d excluded) in %.2fs",
-            spec.name, segment.batch_id, len(groups), rows_scanned, rows_excluded,
-            build_seconds,
+            "built cube %s v%d: %d rows from %d facts (%d excluded) in %d unit(s), %.2fs",
+            spec.name, segment.batch_id, cube_rows, rows_scanned, rows_excluded,
+            len(results), build_seconds,
         )
         return summary
 
-    def _accumulate(
-        self, spec, fact, segments, identities, proof, plain, joined, mand_idx, measures
-    ):
-        """Aggregate the kept rows of ``segments`` at the finest grouping.
+    def _units(self, plan: _UnitPlan, sizes: list[int]) -> list[list[int]]:
+        """The build's tenant-disjoint units, as ascending listing positions.
 
-        One pass reads each segment whole, newest batch first, and splits
-        each line once.  A row is deduped inside its bucket, the raw-key
-        columns that belong to the natural key (university_key is always
-        one); its dedupe key is the rest of the natural key.  So the rule is
-        exactly ``SegmentStore.scan``'s: the newest batch wins, the first
-        occurrence within a segment wins, and a key counts as seen even
-        when its measures fail to parse.  A kept row is added to its raw
-        group, keyed by the raw fact columns (mandatory keys, plain
-        attributes and join reference columns).  For every shipped cube
-        the bucket holds the same columns as the raw group; a plain
-        attribute outside the natural key (a test spec's course_code or
-        grade) only makes the raw group finer than the bucket.
-
-        ``proof`` is the last committed build's, or None.  A listed segment
-        of it is skipped when all keys its tenants had at that build are
-        already seen in the newer segments this pass read first: it could
-        keep no row.  So the kept rows, their order, the raw groups'
-        first-kept order and every float sum are those of a full read.  A
-        segment committed since has a new identity (a batch id reused after
-        a drop comes with a new ctime), so it is always read.
-        The new proof keeps the keys of a tenant only when this build saw
-        it re-uploaded (a row of it superseded, or a segment of it
-        skipped), so a warehouse of tenants that each uploaded once keeps
-        none.
-
-        Each join map is then consulted once per raw group, not once per
-        row.  A raw group whose references do not resolve adds its support
-        to the excluded count.  Raw groups that resolve to one finest group
-        (a many-to-one join such as Times -> year) are merged group by
-        group, so a float measure behind such a join is summed in the order
-        the roll-up already uses.  Every shipped join is 1:1 except
-        student_counts' Times -> year, whose measure is an INTEGER and sums
-        exactly, so the cube is byte-identical to a row-by-row build.
-
-        Returns {(mandatory, attrs): [support, sum0, sum1, ...]} with every
-        cube attribute present, the scanned and excluded row counts, and
-        this build's proof.  A row that fails to parse any measure is
-        excluded whole, so the support is every aggregate's count.
+        A segment goes to the unit of its first row's tenant, and tenants
+        go, heaviest first, to the unit with the fewest bytes so far; the
+        first unit, which the building thread runs, takes the heaviest.
+        Only a listing that could make several units is peeked at.
         """
-        cols = fact.storage_columns
-        width = len(cols)
-        n_mand, n_plain = len(mand_idx), len(plain)
-        raw_idx = (*mand_idx, *(idx for idx, _ in plain), *(idx for idx, _, _ in joined))
-        natural = [cols.index(c) for c in fact.natural_key]
-        bucket_idx = tuple(i for i in raw_idx if i in natural)
-        dedupe_idx = tuple(i for i in natural if i not in raw_idx)
-        tenant_col = cols.index("university_key")
-        # a proof files each bucket under one tenant, its first column
-        if tenant_col not in bucket_idx:
-            raise ValidationError(f"{spec.fact}'s natural key must include university_key")
-        bucket_idx = (tenant_col, *(i for i in bucket_idx if i != tenant_col))
-        # mandatory keys and cube attributes make at least two columns, so
-        # the raw key is always a tuple
-        raw_of = itemgetter(*raw_idx)
-        bucket_of = itemgetter(*bucket_idx)
-        # no dedupe columns: the bucket is the whole natural key
-        dedupe_of = itemgetter(*dedupe_idx) if dedupe_idx else (lambda fields: ())
+        whole = [list(range(len(sizes)))]
+        total = sum(sizes)
+        if unit_count(total, len(sizes), self.worker_pool_size, self.s_b) == 1:
+            return whole
+        by_tenant: dict = {}
+        for pos, seg in enumerate(plan.segments):
+            by_tenant.setdefault(_first_tenant(seg, plan.tenant_col), []).append(pos)
+        n = unit_count(total, len(by_tenant), self.worker_pool_size, self.s_b)
+        if n == 1:
+            return whole
+        weight = {t: sum(sizes[pos] for pos in members) for t, members in by_tenant.items()}
+        units: list = [[] for _ in range(n)]
+        loads = [0] * n
+        for tenant in sorted(by_tenant, key=lambda t: (-weight[t], t)):
+            lightest = loads.index(min(loads))
+            units[lightest] += by_tenant[tenant]
+            loads[lightest] += weight[tenant]
+        return [sorted(unit) for unit in units]
 
-        buckets: dict = {}  # bucket key -> the dedupe keys seen in it
-        raw: dict = {}  # raw key -> [support, sum0, sum1, ...], in first-kept order
-        tenants: dict = {}  # segment identity -> its tenants
-        reuploaded: set = set()  # tenants with a superseded row or a skipped segment
-        rows_scanned = 0
-        rows_excluded = 0
-        zeros = [0] * (1 + len(measures))
-        for seg, identity in zip(reversed(segments), reversed(identities)):
-            if proof and identity in proof.tenants and proof.superseded(identity, buckets):
-                tenants[identity] = proof.tenants[identity]
-                reuploaded |= tenants[identity]
-                continue
-            in_segment = set()
-            kept_before = rows_scanned
-            lines = segment_lines(seg)
-            for line in lines:
-                fields = line.split(",")
-                if len(fields) != width:
-                    # an earlier equal line would have raised already
-                    raise torn_row(seg, lines.index(line) + 1, width, len(fields))
-                in_segment.add(fields[tenant_col])
-                bucket = bucket_of(fields)
-                seen = buckets.get(bucket)
-                if seen is None:
-                    seen = buckets[bucket] = set()
-                key = dedupe_of(fields)
-                if key in seen:
-                    continue
-                seen.add(key)
-                rows_scanned += 1
-                try:
-                    values = [parse(fields[i]) for i, parse in measures]
-                except ValueError:
-                    rows_excluded += 1
-                    continue
-                raw_key = raw_of(fields)
-                acc = raw.get(raw_key)
-                if acc is None:
-                    acc = raw[raw_key] = zeros.copy()
-                acc[0] += 1
-                for a, value in enumerate(values, 1):
-                    acc[a] += value
-            tenants[identity] = frozenset(in_segment)
-            if rows_scanned - kept_before < len(lines):
-                reuploaded |= tenants[identity]
-            del lines  # one segment's lines alive at a time, not two
-        keys: dict = {}
-        for bucket, seen in buckets.items():
-            tenant = bucket if len(bucket_idx) == 1 else bucket[0]
-            if tenant in reuploaded:
-                keys.setdefault(tenant, {})[bucket] = seen
+    @staticmethod
+    def _run_units(plan: _UnitPlan, units: list[list[int]]) -> list[_UnitResult]:
+        """Run the first unit in this thread and the rest in forked workers.
 
-        finest: dict = {}
-        attr_slots: list = [None] * spec.k
-        for key, acc in raw.items():
-            for p, (_, slot) in enumerate(plain, n_mand):
-                attr_slots[slot] = key[p]
-            resolved = True
-            for p, (_, slot, mapping) in enumerate(joined, n_mand + n_plain):
-                value = mapping.get(key[p])
-                if value is None:
-                    resolved = False
-                    break
-                attr_slots[slot] = value
-            if not resolved:
-                rows_excluded += acc[0]
-                continue
-            group = (key[:n_mand], tuple(attr_slots))
-            mine = finest.get(group)
-            finest[group] = acc if mine is None else merge_accumulators(mine, acc)
-        return finest, rows_scanned, rows_excluded, _Proof(tenants, keys)
+        Fork, as the ETL pool uses: a worker inherits the plan (join maps
+        and proof included) and touches nothing a thread of this process
+        may hold, since it only reads segment files and computes.  The
+        workers are joined before this returns, whether or not a unit
+        failed.
+        """
+        if len(units) == 1:
+            return [_build_unit(plan, units[0])]
+        with ProcessPoolExecutor(len(units) - 1, mp_context=_FORK,
+                                 initializer=_adopt_plan, initargs=(plan,)) as pool:
+            futures = [pool.submit(_build_adopted_unit, unit) for unit in units[1:]]
+            mine = _build_unit(plan, units[0])
+            return [mine, *(future.result() for future in futures)]
 
-    def _persist(self, spec: CubeSpec, groups: dict) -> Segment:
-        """Write the groups as the cube's next version and drop older ones.
+    def _persist(self, spec: CubeSpec, chunks: dict, cube_rows: int) -> Segment:
+        """Write the tenants' cube lines as the cube's next version and drop older ones.
 
         Only versions older than the one just committed are dropped, so of
         two overlapping builds of one cube the newer version survives.
 
-        Rows are sorted by tenant, the order ``tenant_range`` searches; the
-        sort is stable, so rows keep the build's order within a tenant.
+        Tenants are written in ascending order, the order ``tenant_range``
+        searches; each tenant's lines keep the build's order.
         """
-        k = spec.k
-        masks = _masked_indexes(k)
-        tenant_at = spec.mandatory_keys.index("university_key")
-        by_tenant = sorted(groups.items(), key=lambda item: item[0][1][tenant_at])
         stem = uuid.uuid4().hex
         staged = self.store.staging_path(f"{stem}.cube")
         with open(staged, "w", encoding="utf-8", newline="") as fh:
-            for (mask, mandatory, present_vals), acc in by_tenant:
-                attr_cells = [""] * k
-                for value, j in zip(present_vals, masks[mask]):
-                    attr_cells[j] = value
-                sums = map(repr, acc[1:])
-                fh.write(",".join((str(mask), *mandatory, *attr_cells, *sums, str(acc[0]))))
-                fh.write("\n")
-        segment = self.store.commit_batch(spec.table_name, staged, row_count=len(groups))
+            for tenant in sorted(chunks):
+                fh.write(chunks[tenant])
+        segment = self.store.commit_batch(spec.table_name, staged, row_count=cube_rows)
         for old in self.store.segments(spec.table_name):
             # a newer version is an overlapping build's, and must stay
             if old.batch_id >= segment.batch_id:

@@ -57,7 +57,8 @@ class TenantService:
         )
         self.query = QueryEngine(self.store)
         self.refresher = CubeRefresher(
-            CubeEngine(self.store), builtin_cube_specs().values(),
+            CubeEngine(self.store, config.worker_pool_size, config.s_b),
+            builtin_cube_specs().values(),
             config.cube_refresh_interval,
         )
 
@@ -159,15 +160,27 @@ class _Handler(BaseHTTPRequestHandler):
                 return raw
             refusal = 400, {"error": f"body ended after {len(raw)} of {length} bytes"}
         self.close_connection = True
-        self._send(*refusal)
-        if (drain_if_too_large and refusal[0] == 413
-                and self.headers.get("Expect", "").lower() != "100-continue"):
-            self._drain(int(self.headers["Content-Length"]))
+        if drain_if_too_large and refusal[0] == 413:
+            self._refuse_upload(*refusal)
+        else:
+            self._send(*refusal)
         return None
 
+    def _refuse_upload(self, status: int, body: dict) -> None:
+        """Answer an upload whose body stays unread, then drain that body.
+
+        Closing with unread bytes resets the connection, and a client that
+        is still writing its body never reads the answer (RFC 9112 §9.6).
+        So a body of valid length is read and dropped, up to _MAX_DRAIN,
+        unless the client waits for 100 Continue and so sends no body.
+        """
+        self._send(status, body)
+        length = self.headers.get("Content-Length", "")
+        if (length.isascii() and length.isdigit()
+                and self.headers.get("Expect", "").lower() != "100-continue"):
+            self._drain(int(length))
+
     def _drain(self, length: int) -> None:
-        # closing with unread bytes resets the connection, and a client that
-        # is still writing its body never reads the answer (RFC 9112 §9.6)
         remaining = min(length, _MAX_DRAIN)
         while remaining > 0:
             chunk = self.rfile.read(min(remaining, 64 * 1024))
@@ -242,14 +255,14 @@ class _Handler(BaseHTTPRequestHandler):
     def _post_upload(self, params: dict) -> None:
         ctx = self._context()
         if ctx is None:
-            self._send(401, {"error": "missing or expired session token"})
+            self._refuse_upload(401, {"error": "missing or expired session token"})
             return
         table = params.get("table")
         if not table:
-            self._send(400, {"error": "query parameter table is required"})
+            self._refuse_upload(400, {"error": "query parameter table is required"})
             return
         if table not in self.svc.store.schema.tables:
-            self._send(400, {"error": f"unknown table {table!r}"})
+            self._refuse_upload(400, {"error": f"unknown table {table!r}"})
             return
         raw = self._read_body(drain_if_too_large=True)
         if raw is None:

@@ -1,6 +1,7 @@
 """Cube engine: grouping ids, accumulators, builds."""
 
 import itertools
+import multiprocessing
 import random
 import sys
 import threading
@@ -24,10 +25,12 @@ from eduwarehouse.cube import (
     merge_accumulators,
     parse_cube_row,
     presence_from_id,
+    unit_count,
 )
 from eduwarehouse.etl import EtlPipeline, SplitConfig
 from eduwarehouse.olap import QueryEngine, TenantContext
-from eduwarehouse.schema import INTEGER
+from eduwarehouse.schema import INTEGER, TenantKey, builtin_schema
+from eduwarehouse.store import SegmentStore
 
 from conftest import (
     DEMO_FACTS, DEMO_TERM, DIM_UPLOADS, PERF_HEADER, U1, U2, ingest_demo_fixture,
@@ -595,14 +598,20 @@ def _assert_matches_scan_oracle(store, engine, spec):
     return summary
 
 
-def test_grouped_pass_matches_a_scan_oracle_on_messy_input(store, pipeline, tmp_path):
-    for tenant in (U1, U2):
+def _ingest_messy_dimensions(pipeline, tmp_path, tenants=(U1, U2)):
+    for tenant in tenants:
         for table, text in DIM_UPLOADS.items():
             ingest_text(pipeline, tmp_path, table, text, tenant)
         ingest_text(pipeline, tmp_path, "Programs", "program_code,program_name\nPRG01,CS\n",
                     tenant)
-    specs = [SPEC, COURSE_SPEC, GRADE_SPEC, builtin_cube_specs()["student_counts"]]
-    batches = [
+
+
+MESSY_SPECS = [SPEC, COURSE_SPEC, GRADE_SPEC, builtin_cube_specs()["student_counts"]]
+
+# three rounds of (table, stored rows) commits: duplicates within and across
+# segments, unresolved joins, a bad measure, full and partial re-uploads
+MESSY_ROUNDS = [
+    [
         ("StudentPerformance", [  # U1: a duplicate key, an unresolved course, a bad measure
             _perf(U1, "s1", "CS101", SPR, "FT", "80"),
             _perf(U1, "s1", "CS101", SPR, "FT", "81"),
@@ -623,35 +632,142 @@ def test_grouped_pass_matches_a_scan_oracle_on_messy_input(store, pipeline, tmp_
             _perf(U1, "s4", "CS101", AUT, "DL", "65"),
             _perf(U1, "s6", "CS101", SPR, "DL", "77", grade=""),
             _perf(U1, "s6", "CS101", SPR, "DL", "78")]),
-    ]
-    engines = {spec.name: CubeEngine(store) for spec in specs}
+    ],
+    # U1 again, every key: a bad measure now supersedes s4, s5's grade moves,
+    # s7 is new; U1's earlier segments are superseded whole
+    [
+        ("StudentPerformance", [
+            _perf(U1, "s1", "CS101", SPR, "FT", "95"),
+            _perf(U1, "s2", "CS101", SPR, "PT", "71", grade="B"),
+            _perf(U1, "s3", "NOPE9", SPR, "FT", "61"),
+            _perf(U1, "s4", "CS101", AUT, "DL", "y"),
+            _perf(U1, "s5", "CS101", AUT, "FT", "56", grade="C"),
+            _perf(U1, "s6", "CS101", SPR, "DL", "79"),
+            _perf(U1, "s7", "CS101", AUT, "PT", "88")]),
+        ("StudentCounts", [_counts(U1, "DEP01", "PRG01", SPR, "103")]),
+    ],
+    # U2 in part, and every StudentCounts key again
+    [
+        ("StudentPerformance", [_perf(U2, "s2", "CS101", AUT, "FT", "47")]),
+        ("StudentCounts", [
+            _counts(U1, "DEP01", "PRG01", SPR, "104"),
+            _counts(U1, "DEP01", "PRG01", AUT, "151"),
+            _counts(U1, "DEP99", "PRG01", AUT, "13")]),
+    ],
+]
 
-    def commit_and_check(new_batches):
-        for table, rows in new_batches:
+
+def test_grouped_pass_matches_a_scan_oracle_on_messy_input(store, pipeline, tmp_path):
+    _ingest_messy_dimensions(pipeline, tmp_path)
+    engines = {spec.name: CubeEngine(store) for spec in MESSY_SPECS}
+    for batches in MESSY_ROUNDS:
+        for table, rows in batches:
             _commit_rows(store, table, rows)
-        for spec in specs:
+        for spec in MESSY_SPECS:
             _assert_matches_scan_oracle(store, engines[spec.name], spec)
             kept = _cube_bytes(store, spec)
             assert _fresh_build_bytes(store, spec) == kept
 
-    commit_and_check(batches)
-    # U1 again, every key: a bad measure now supersedes s4, s5's grade moves,
-    # s7 is new; U1's earlier segments are superseded whole
-    commit_and_check([("StudentPerformance", [
-        _perf(U1, "s1", "CS101", SPR, "FT", "95"),
-        _perf(U1, "s2", "CS101", SPR, "PT", "71", grade="B"),
-        _perf(U1, "s3", "NOPE9", SPR, "FT", "61"),
-        _perf(U1, "s4", "CS101", AUT, "DL", "y"),
-        _perf(U1, "s5", "CS101", AUT, "FT", "56", grade="C"),
-        _perf(U1, "s6", "CS101", SPR, "DL", "79"),
-        _perf(U1, "s7", "CS101", AUT, "PT", "88")]),
-        ("StudentCounts", [_counts(U1, "DEP01", "PRG01", SPR, "103")])])
-    # U2 in part, and every StudentCounts key again
-    commit_and_check([("StudentPerformance", [_perf(U2, "s2", "CS101", AUT, "FT", "47")]),
-                      ("StudentCounts", [
-                          _counts(U1, "DEP01", "PRG01", SPR, "104"),
-                          _counts(U1, "DEP01", "PRG01", AUT, "151"),
-                          _counts(U1, "DEP99", "PRG01", AUT, "13")])])
+
+# ---- tenant-disjoint build units ----
+
+U3 = TenantKey("University3")
+
+
+def _summary_text(summary):
+    """A build's report less the lines that differ between two equal builds."""
+    return "".join(line for line in summary.to_report().splitlines(keepends=True)
+                   if not line.startswith(("build_seconds:", "units:")))
+
+
+def _twin_stores(tmp_path, tenants):
+    """Two warehouses with the same dimension uploads, one per engine."""
+    twins = []
+    for name in ("inline", "units"):
+        store = SegmentStore(tmp_path / name, builtin_schema())
+        pipeline = EtlPipeline(store, SplitConfig(1, 256 * 1024 * 1024, 1024 * 1024), 1)
+        _ingest_messy_dimensions(pipeline, tmp_path / name, tenants)
+        twins.append(store)
+    return twins
+
+
+def _assert_units_match_inline(stores, engines, spec, units):
+    summaries = [engine.build(spec) for engine in engines]
+    assert multiprocessing.active_children() == []
+    assert _cube_bytes(stores[1], spec) == _cube_bytes(stores[0], spec)
+    assert _summary_text(summaries[1]) == _summary_text(summaries[0])
+    assert (summaries[0].units, summaries[1].units) == (1, units)
+    return summaries[1]
+
+
+@pytest.mark.parametrize("listing_bytes, tenants, pool, units", [
+    (2 * 100 - 1, 16, 2, 1),  # under 2 x s_b: inline, as a one-split upload
+    (2 * 100, 16, 2, 2),
+    (10**9, 16, 2, 2),  # no more units than workers
+    (10**9, 1, 2, 1),  # one tenant builds inline
+    (10**9, 3, 8, 3),
+    (10**9, 16, 1, 1),
+    (0, 0, 2, 1),
+])
+def test_unit_count(listing_bytes, tenants, pool, units):
+    assert unit_count(listing_bytes, tenants, pool, 100) == units
+
+
+def test_units_match_an_inline_build_on_messy_input(tmp_path):
+    stores = _twin_stores(tmp_path, (U1, U2, U3))
+    specs = {spec.name: spec for spec in MESSY_SPECS}
+    engines = {name: (CubeEngine(stores[0]), CubeEngine(stores[1], 3, 1)) for name in specs}
+    # U2 has StudentCounts too, and U3 re-uploads every key each round
+    rounds = [list(batches) for batches in MESSY_ROUNDS]
+    rounds[0].append(("StudentCounts", [_counts(U2, "DEP01", "PRG01", AUT, "70")]))
+    for step, batches in enumerate(rounds):
+        batches.append(("StudentPerformance", [
+            _perf(U3, "s1", "CS101", SPR, "FT", str(60 + step)),
+            _perf(U3, "s2", "CS101", AUT, "DL", str(30 + step), grade="B")]))
+    skipped = 0
+    for batches in rounds:
+        for table, rows in batches:
+            for store in stores:
+                _commit_rows(store, table, rows)
+        for name, spec in specs.items():
+            units = 3 if spec.fact == "StudentPerformance" else 2
+            skipped += _assert_units_match_inline(stores, engines[name], spec,
+                                                  units).segments_skipped
+    assert skipped > 0  # the units carried their proofs from round to round
+
+
+def test_a_segment_of_two_tenants_builds_as_one_unit(tmp_path, caplog):
+    stores = _twin_stores(tmp_path, (U1, U2, U3))
+    batches = [[_perf(U1, "s1", "CS101", SPR, "FT", "80"),  # first row U1, then U2
+                _perf(U2, "s1", "CS101", SPR, "FT", "40")],
+               [_perf(U2, "s1", "CS101", SPR, "FT", "41"),
+                _perf(U2, "s2", "CS101", AUT, "PT", "45")],
+               [_perf(U3, "s1", "CS101", AUT, "DL", "33")]]
+    for store in stores:
+        for rows in batches:
+            _commit_rows(store, "StudentPerformance", rows)
+    engines = CubeEngine(stores[0]), CubeEngine(stores[1], 3, 1)
+    summary = _assert_units_match_inline(stores, engines, SPEC, 1)
+    assert summary.segments_read == 3
+    assert "holds several tenants" in caplog.text
+
+
+def test_torn_segment_in_a_worker_unit_fails_the_build(store, pipeline, tmp_path):
+    ingest_demo_fixture(pipeline, tmp_path, U1)
+    small = ingest_demo_fixture(pipeline, tmp_path, U2, DEMO_FACTS[:2]).segment
+    engine = CubeEngine(store, 2, 1)
+    assert engine.build(SPEC).units == 2
+    proof = engine._proofs[SPEC]
+    versions = store.segments(SPEC.table_name)
+    # U2's segment is the lighter one, so a forked worker reads it
+    small.path.write_bytes(small.path.read_bytes()[:-30])
+    with pytest.raises(StorageError, match=rf"{small.path} line 2: expected 12 fields") as err:
+        engine.build(SPEC)
+    assert "_build_adopted_unit" in str(err.value.__cause__)  # the worker's traceback
+    assert engine._proofs[SPEC] is proof
+    assert [s.batch_id for s in store.segments(SPEC.table_name)] == [
+        s.batch_id for s in versions]
+    assert multiprocessing.active_children() == []
 
 
 def test_full_reupload_skips_the_batch_it_replaces(store, pipeline, tmp_path, monkeypatch):
@@ -661,11 +777,13 @@ def test_full_reupload_skips_the_batch_it_replaces(store, pipeline, tmp_path, mo
     # the first re-upload is read whole: a tenant uploaded once keeps no keys
     ingest_text(pipeline, tmp_path, "StudentPerformance", REMARKED_TEXT)
     opened = _fact_reads(monkeypatch)
-    engine.build(SPEC)
+    summary = engine.build(SPEC)
     assert opened == [2, 1]
+    assert (summary.segments_read, summary.segments_skipped) == (2, 0)
     ingest_text(pipeline, tmp_path, "StudentPerformance", _remarked(20))
     summary = engine.build(SPEC)
     assert opened == [2, 1, 3]
+    assert (summary.segments_read, summary.segments_skipped) == (1, 2)
     assert [b for b, _ in summary.fact_batches] == [1, 2, 3]
     assert (summary.rows_scanned, _total_marks(store)) == (6, (544, 6))
     skipped = _cube_bytes(store)
@@ -694,8 +812,9 @@ def test_partial_reupload_still_reads_the_older_batch(store, pipeline, tmp_path,
     ingest_text(pipeline, tmp_path, "StudentPerformance",
                 _remarked(20, [*DEMO_FACTS[0::2], DEMO_FACTS[5]]))
     opened = _fact_reads(monkeypatch)
-    engine.build(SPEC)
+    summary = engine.build(SPEC)
     assert opened == [3, 2]  # batch 2 holds every key batch 1 had
+    assert (summary.segments_read, summary.segments_skipped) == (2, 1)
     assert _total_marks(store) == (524, 6)
     assert _fresh_build_bytes(store) == _cube_bytes(store)
 
@@ -742,8 +861,9 @@ def test_one_tenants_reupload_skips_only_its_own_batch(store, pipeline, tmp_path
     engine.build(SPEC)
     ingest_text(pipeline, tmp_path, "StudentPerformance", _remarked(20), U1)
     opened = _fact_reads(monkeypatch)
-    engine.build(SPEC)
+    summary = engine.build(SPEC)
     assert opened == [4, 2]
+    assert (summary.segments_read, summary.segments_skipped) == (2, 2)
     assert _total_marks(store) == (544, 6)
     u2 = QueryEngine(store).query_cube(TenantContext(U2, "t"), "student_performance", {0})
     assert (u2[0].sums[0], u2[0].support_count) == (424, 6)
@@ -849,7 +969,7 @@ def test_refresher_samples_every_batch_of_the_build_it_ran(
     )
     for expected in ("1", "1,2"):
         [summary] = refresher.run_once()
-        named = summary.to_report().rsplit("fact_batches: ", 1)[1].strip()
+        named = summary.to_report().split("fact_batches: ", 1)[1].split("\n", 1)[0]
         # each batch the pass's build read has its sample by the pass's end
         assert ",".join(str(s.fact_batch) for s in refresher.lag_samples) == named
         assert named == expected

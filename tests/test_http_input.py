@@ -147,6 +147,20 @@ def test_oversized_body_sent_without_expect_gets_its_413(small_limit_address):
     assert json.loads(raw)["upload_limit"] == 1024
 
 
+@pytest.mark.parametrize("token, table, status", [
+    (False, "Regtypes", 401), (True, "Nope", 400), (True, None, 400),
+])
+def test_upload_refused_before_its_body_is_read_gets_its_answer(address, token, table,
+                                                                 status):
+    # as with a 413: the body is drained so that a client still writing it
+    # reads the refusal instead of a reset
+    body = b"regtype_code,regtype_name\n" + b"FT,Full time\n" * 900_000  # ~12 MB
+    path = "/upload" if table is None else f"/upload?table={table}"
+    got, raw = _post(address, path, body, str(len(body)),
+                     _token(address) if token else None)
+    assert got == status, raw
+
+
 def test_oversized_auth_body_is_not_drained(address):
     # /auth needs no session: a declared body over its limit is refused and
     # the connection closed at once, with none of the body read
