@@ -25,6 +25,14 @@ build skips a segment whose every key newer segments have superseded.
 Built cubes are immutable and a rebuild replaces the previous version
 atomically.
 
+The row loop of a build is not interpreted from the plan on every row:
+each build generates it once (``_scan_source``, compiled by
+``schema.compile_kernel``), with column positions and the measure count
+as integer literals and every other value (the key getters, the measure
+parsers) bound as a free variable.  Generated source holds only integer
+literals and fixed local names, never a tenant, table, column or file
+name.
+
 Since every cube row belongs to one tenant, a cube is distributive over
 tenants: a build of a large multi-tenant listing runs as tenant-disjoint
 units, one in the building thread and the rest in forked worker
@@ -51,7 +59,7 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .errors import StorageError, ValidationError
-from .schema import INTEGER, TEXT, TableDef
+from .schema import INTEGER, TEXT, TableDef, compile_kernel
 from .store import Segment, SegmentStore, segment_lines, torn_row
 
 logger = logging.getLogger(__name__)
@@ -344,8 +352,9 @@ def _first_tenant(seg: Segment, tenant_col: int) -> str:
 class _UnitPlan:
     """Everything the units of one build share, fixed before any unit runs.
 
-    Join maps are built once, in the building process; a forked unit
-    inherits the plan instead of receiving it pickled.
+    Join maps and the scan (``_scan_source``) are made once, in the
+    building process; a forked unit inherits the plan instead of
+    receiving it pickled.
     """
 
     def __init__(self, spec, fact, segments, identities, proof, plain, joined, mand_idx,
@@ -357,8 +366,6 @@ class _UnitPlan:
         self.proof = proof
         self.plain = plain
         self.joined = joined
-        self.measures = measures
-        self.width = len(cols)
         self.n_mand = len(mand_idx)
         raw_idx = (*mand_idx, *(idx for idx, _ in plain), *(idx for idx, _, _ in joined))
         natural = [cols.index(c) for c in fact.natural_key]
@@ -370,12 +377,78 @@ class _UnitPlan:
             raise ValidationError(f"{spec.fact}'s natural key must include university_key")
         bucket_idx = (self.tenant_col, *(i for i in bucket_idx if i != self.tenant_col))
         self.bucket_is_tenant = len(bucket_idx) == 1
-        # mandatory keys and cube attributes make at least two columns, so
-        # the raw key is always a tuple
-        self.raw_of = itemgetter(*raw_idx)
-        self.bucket_of = itemgetter(*bucket_idx)
-        # no dedupe columns: the bucket is the whole natural key
-        self.dedupe_of = itemgetter(*dedupe_idx) if dedupe_idx else (lambda fields: ())
+        self.scan = compile_kernel(
+            _scan_source(len(cols), self.tenant_col, [i for i, _ in measures]), "scan",
+            {
+                # mandatory keys and cube attributes make at least two
+                # columns, so the raw key is always a tuple
+                "raw_of": itemgetter(*raw_idx),
+                "bucket_of": itemgetter(*bucket_idx),
+                # no dedupe columns: the bucket is the whole natural key
+                "dedupe_of": itemgetter(*dedupe_idx) if dedupe_idx else (lambda fields: ()),
+                "torn_row": torn_row, "sep": ",",
+                **{f"parse{a}": parse for a, (_, parse) in enumerate(measures)},
+            },
+        )
+
+
+def _scan_source(width: int, tenant_col: int, measure_cols: list[int]) -> str:
+    """Source of a plan's scan: ``_accumulate``'s pass over one segment.
+
+    ``scan(lines, seg, groups, buckets, in_segment)`` adds each kept row
+    of ``lines`` to its entry in ``groups``, {raw key: [seen, support,
+    sum0, sum1, ...]}, where ``seen`` is the set of dedupe keys of the
+    raw group's bucket in ``buckets``, shared by every raw group of that
+    bucket.  A row whose raw group has an entry takes one dict lookup; a
+    row of a new raw group finds its bucket, and the entry is made at its
+    first kept row, so ``groups`` is in first-kept order.  A sum starts
+    as ``0 + value``, the additions a zeroed accumulator makes.  Adds
+    each row's tenant to ``in_segment`` and returns the rows kept and the
+    kept rows excluded for a measure that fails to parse.  A row of the
+    wrong width raises ``torn_row`` with its line number, found by
+    ``lines.index``: an earlier equal line would have raised already.
+    """
+    n = len(measure_cols)
+    parse = [f"m{a} = parse{a}(f[{col}])" for a, col in enumerate(measure_cols)] or ["pass"]
+    made = "".join(f", 0 + m{a}" for a in range(n))
+    body = [
+        "get = groups.get",
+        "add_tenant = in_segment.add",
+        "kept = 0",
+        "excluded = 0",
+        "for line in lines:",
+        "    f = line.split(sep)",
+        f"    if len(f) != {width}:",
+        f"        raise torn_row(seg, lines.index(line) + 1, {width}, len(f))",
+        "    raw = raw_of(f)",
+        "    entry = get(raw)",
+        f"    add_tenant(f[{tenant_col}])",
+        "    if entry is None:",
+        "        bucket = bucket_of(f)",
+        "        seen = buckets.get(bucket)",
+        "        if seen is None:",
+        "            seen = buckets[bucket] = set()",
+        "    else:",
+        "        seen = entry[0]",
+        "    key = dedupe_of(f)",
+        "    if key in seen:",
+        "        continue",
+        "    seen.add(key)",
+        "    kept += 1",
+        "    try:",
+        *(f"        {line}" for line in parse),
+        "    except ValueError:",
+        "        excluded += 1",
+        "        continue",
+        "    if entry is None:",
+        f"        groups[raw] = [seen, 1{made}]",
+        "    else:",
+        "        entry[1] += 1",
+        *(f"        entry[{a + 2}] += m{a}" for a in range(n)),
+        "return kept, excluded",
+    ]
+    return ("def scan(lines, seg, groups, buckets, in_segment):\n"
+            + "".join(f"    {line}\n" for line in body))
 
 
 @dataclass(frozen=True)
@@ -450,16 +523,14 @@ def _accumulate(plan: _UnitPlan, members):
     A row that fails to parse any measure is excluded whole, so the
     support is every aggregate's count.
     """
-    proof, measures, width, tenant_col = plan.proof, plan.measures, plan.width, plan.tenant_col
-    raw_of, bucket_of, dedupe_of = plan.raw_of, plan.bucket_of, plan.dedupe_of
+    proof, scan = plan.proof, plan.scan
     buckets: dict = {}  # bucket key -> the dedupe keys seen in it
-    raw: dict = {}  # raw key -> [support, sum0, sum1, ...], in first-kept order
+    groups: dict = {}  # raw key -> [seen, support, sum0, ...], in first-kept order
     tenants: dict = {}  # segment identity -> its tenants
     reuploaded: set = set()  # tenants with a superseded row or a skipped segment
     rows_scanned = 0
     rows_excluded = 0
     segments_read = 0
-    zeros = [0] * (1 + len(measures))
     for pos in reversed(members):
         seg, identity = plan.segments[pos], plan.identities[pos]
         if proof and identity in proof.tenants and proof.superseded(identity, buckets):
@@ -467,38 +538,13 @@ def _accumulate(plan: _UnitPlan, members):
             reuploaded |= tenants[identity]
             continue
         segments_read += 1
-        in_segment = set()
-        kept_before = rows_scanned
+        in_segment: set = set()
         lines = segment_lines(seg)
-        for line in lines:
-            fields = line.split(",")
-            if len(fields) != width:
-                # an earlier equal line would have raised already
-                raise torn_row(seg, lines.index(line) + 1, width, len(fields))
-            in_segment.add(fields[tenant_col])
-            bucket = bucket_of(fields)
-            seen = buckets.get(bucket)
-            if seen is None:
-                seen = buckets[bucket] = set()
-            key = dedupe_of(fields)
-            if key in seen:
-                continue
-            seen.add(key)
-            rows_scanned += 1
-            try:
-                values = [parse(fields[i]) for i, parse in measures]
-            except ValueError:
-                rows_excluded += 1
-                continue
-            raw_key = raw_of(fields)
-            acc = raw.get(raw_key)
-            if acc is None:
-                acc = raw[raw_key] = zeros.copy()
-            acc[0] += 1
-            for a, value in enumerate(values, 1):
-                acc[a] += value
+        kept, excluded = scan(lines, seg, groups, buckets, in_segment)
+        rows_scanned += kept
+        rows_excluded += excluded
         tenants[identity] = frozenset(in_segment)
-        if rows_scanned - kept_before < len(lines):
+        if kept < len(lines):
             reuploaded |= tenants[identity]
         del lines  # one segment's lines alive at a time, not two
     keys: dict = {}
@@ -510,7 +556,8 @@ def _accumulate(plan: _UnitPlan, members):
     n_mand, n_plain = plan.n_mand, len(plan.plain)
     finest: dict = {}
     slots: list = [None] * (n_mand + plan.spec.k)
-    for key, acc in raw.items():
+    for key, acc in groups.items():
+        del acc[0]  # the bucket's dedupe set: what is left is the accumulator
         for p in range(n_mand):
             slots[p] = key[p]
         for p, (_, slot) in enumerate(plan.plain, n_mand):
@@ -537,10 +584,14 @@ def _roll_up(finest: dict, n_mand: int, k: int) -> list[dict]:
     A coarser group starts as a copy of the first finest group it rolls
     up, in first-kept order, and adds each later one in place; these are
     the additions ``merge_accumulators`` makes, in the same order.  The
-    finest accumulators are never mutated.
+    finest accumulators are never mutated, and the last mask, which has
+    every attribute present, is ``finest`` itself.
     """
     rolled = []
     for present in _masked_indexes(k):
+        if len(present) == k:
+            rolled.append(finest)
+            continue
         project = _projection((*range(n_mand), *(n_mand + j for j in present)))
         groups: dict = {}
         for group, acc in finest.items():
@@ -887,6 +938,14 @@ class CubeRefresher:
     build's summary alone.  A batch is identified by its id and its
     segment's ctime, since a dropped batch's id is reused by the next
     upload; only the identities in each cube's latest build are kept.
+
+    A cube is not rebuilt while its fingerprint is the one recorded at its
+    last rebuild here: the fact batches that build's summary names, the
+    identity of every segment of each joined dimension, listed before
+    that build began, and the identity of the version it committed.  A
+    skipped cube takes no lag sample and returns no summary.  A dimension
+    commit during the build only makes the next pass rebuild, and a
+    version replaced since (a direct build, a drop) no longer matches.
     """
 
     def __init__(self, engine: CubeEngine, specs, interval: float):
@@ -897,6 +956,7 @@ class CubeRefresher:
         self.interval = interval
         self.lag_samples: deque[VisibilityLagSample] = deque(maxlen=256)
         self._covered: dict[str, set[tuple[int, int]]] = {}
+        self._fingerprints: dict[str, tuple] = {}
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
@@ -904,11 +964,20 @@ class CubeRefresher:
         summaries = []
         for spec in self.specs:
             try:
+                last = self._fingerprints.get(spec.name)  # None: list nothing more
+                if last is not None and last == self._fingerprint(spec):
+                    continue  # nothing it reads has changed since its last rebuild
+                dimensions = self._dimensions(spec)
                 summary = self.engine.build(spec)
             except Exception:
                 logger.exception("cube %s rebuild failed; previous version kept", spec.name)
                 continue
             visible_at = time.time()
+            version = self._version(spec)
+            if version is not None and version[0] == summary.version:
+                self._fingerprints[spec.name] = (summary.fact_batches, dimensions, version)
+            else:  # replaced already: the next pass rebuilds
+                self._fingerprints.pop(spec.name, None)
             covered = set(summary.fact_batches)
             seen = self._covered.get(spec.name, set())
             for batch_id, ctime_ns in sorted(covered - seen):
@@ -918,6 +987,30 @@ class CubeRefresher:
             self._covered[spec.name] = covered
             summaries.append(summary)
         return summaries
+
+    def _fingerprint(self, spec: CubeSpec) -> tuple:
+        return self._identities(spec.fact), self._dimensions(spec), self._version(spec)
+
+    def _identities(self, table: str) -> tuple[tuple[int, int], ...]:
+        """(batch_id, st_ctime_ns) of each segment of ``table``, as a build's
+        summary names its fact batches."""
+        return tuple((seg.batch_id, seg.path.stat().st_ctime_ns)
+                     for seg in self.engine.store.segments(table))
+
+    def _dimensions(self, spec: CubeSpec) -> tuple:
+        tables = dict.fromkeys(j.dimension for j in spec.dimension_joins)
+        return tuple(self._identities(table) for table in tables)
+
+    def _version(self, spec: CubeSpec) -> tuple[int, int] | None:
+        """(batch_id, st_ctime_ns) of spec's latest cube version; None when
+        there is none, or it is gone already."""
+        latest = latest_cube_segment(self.engine.store, spec)
+        if latest is None:
+            return None
+        try:
+            return latest.batch_id, latest.path.stat().st_ctime_ns
+        except FileNotFoundError:
+            return None
 
     def _loop(self) -> None:
         while not self._stop.wait(self.interval):

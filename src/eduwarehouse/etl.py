@@ -3,9 +3,13 @@
 An upload is partitioned into record-aligned byte ranges; independent workers
 (``_process_split``, the only code that turns upload lines into stored rows)
 parse, validate and tenant-qualify each range and write per-split intermediate
-files.  The load step concatenates them into one staged file and commits it,
-or aborts the whole batch with a line-numbered error report if any split saw
-any error.
+files.  A worker's row loop is the table's ``schema.upload_rules(table).rows``,
+generated once per table from the same check list as the rules, with
+field positions as integer literals; the tenant reaches it as an
+argument, never as source text.  The
+load step concatenates them into one staged file and commits it, or aborts
+the whole batch with a line-numbered error report if any split saw any
+error.
 
 Timing model: the pipeline emulates a cluster that has one node per split.
 Each worker measures its own busy time (queue wait excluded).  Two phases are
@@ -28,21 +32,10 @@ import time
 import uuid
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
-from operator import itemgetter
 from pathlib import Path
 
 from .errors import ValidationError
-from .schema import (
-    DIMENSION_KEY,
-    KEY_SEPARATOR,
-    NATURAL_KEY,
-    REFERENCE,
-    TENANT_KEY,
-    TableDef,
-    TenantKey,
-    upload_rules,
-)
+from .schema import TableDef, TenantKey, upload_rules
 from .store import Segment, SegmentStore
 
 logger = logging.getLogger(__name__)
@@ -186,32 +179,6 @@ class EtlErrorReport:
         return "\n".join(lines) + "\n"
 
 
-# Transform instructions: how each storage column is produced from an upload
-# row.  "copy" passes the field through, "qualify" prefixes it with the
-# tenant key, "tenant" emits the tenant key itself.
-_COPY, _QUALIFY, _TENANT = 0, 1, 2
-
-
-@lru_cache(maxsize=None)
-def _transform_plan(table: TableDef) -> tuple[tuple[int, int], ...]:
-    """(op, upload field index) per storage column."""
-    upload_idx = {c: i for i, c in enumerate(table.upload_columns)}
-    ops: list[tuple[int, int]] = []
-    natural = table.attrs_of_kind(NATURAL_KEY)
-    for attr in table.attributes:
-        if attr.kind == TENANT_KEY:
-            ops.append((_TENANT, 0))
-        elif attr.kind == DIMENSION_KEY:
-            ops.append((_QUALIFY, upload_idx[natural[0].name]))
-        elif attr.kind == REFERENCE:
-            raw = attr.raw_name or ""
-            ops.append((_COPY, upload_idx[raw]))
-            ops.append((_QUALIFY, upload_idx[raw]))
-        else:
-            ops.append((_COPY, upload_idx[attr.name]))
-    return tuple(ops)
-
-
 def _data_lines(split: SplitRange, table: TableDef) -> tuple[list[str], int, EtlError | None]:
     """Read one split's data lines, past the upload header on the first split.
 
@@ -243,31 +210,6 @@ def _data_lines(split: SplitRange, table: TableDef) -> tuple[list[str], int, Etl
     return lines[1:], 1, None
 
 
-def _row_renderer(table: TableDef, tenant: TenantKey):
-    """Storage-row renderer compiled from the transform plan.
-
-    Returns (fmt, getter) such that fmt % getter(fields) is the stored CSV
-    line; a %-format plus one itemgetter keeps the per-row cost at C speed.
-    """
-    prefix = tenant.value + KEY_SEPARATOR
-    parts: list[str] = []
-    idxs: list[int] = []
-    for op, arg in _transform_plan(table):
-        if op == _TENANT:
-            parts.append(tenant.value.replace("%", "%%"))
-        elif op == _QUALIFY:
-            parts.append(prefix.replace("%", "%%") + "%s")
-            idxs.append(arg)
-        else:
-            parts.append("%s")
-            idxs.append(arg)
-    fmt = ",".join(parts)
-    if len(idxs) == 1:
-        only = idxs[0]
-        return fmt, lambda fields: (fields[only],)
-    return fmt, itemgetter(*idxs)
-
-
 @dataclass(frozen=True)
 class _SplitOutcome:
     index: int
@@ -283,30 +225,22 @@ def _process_split(
 ) -> _SplitOutcome:
     """Worker body, the one path from a split to stored rows.
 
-    Checks each data line against schema.upload_rules (shape, then empty
-    keys), renders each valid line into its storage row (the transform
-    plan: raw value plus tenant-qualified key for every key and reference)
-    and writes them to the split's intermediate file.  Error line numbers
-    count from the split's first line, which for the first split is the
-    file numbering (header = line 1); the pipeline offsets later splits by
-    their predecessors' line counts.  Busy time spans the whole body, queue
-    wait excluded.
+    Runs the table's generated row loop (``upload_rules(table).rows``):
+    it checks each data line against schema.upload_rules (shape, then
+    empty keys) and renders each valid line into its storage row (the
+    storage plan: raw value plus tenant-qualified key for every key and
+    reference); the rows go to the split's intermediate file.  Error line
+    numbers count from the split's first line, which for the first split
+    is the file numbering (header = line 1); the pipeline offsets later
+    splits by their predecessors' line counts.  Busy time spans the whole
+    body, queue wait excluded.
     """
     t0 = time.perf_counter()
-    rules = upload_rules(table)
-    shape, empty_key = rules.shape, rules.empty_key
-    fmt, getter = _row_renderer(table, tenant)
     lines, line_no, fault = _data_lines(split, table)
     errors: list[EtlError] = [fault] if fault else []
-    out_lines: list[str] = []
-    for raw in lines:
-        line_no += 1
-        fields = raw[:-1].split(",") if raw.endswith("\r") else raw.split(",")
-        bad = shape(fields) or empty_key(fields)
-        if bad is None:
-            out_lines.append(fmt % getter(fields))
-        else:
-            errors.append(EtlError(line_no, bad[1], bad[0]))
+    faults: list = []
+    out_lines, line_no = upload_rules(table).rows(lines, line_no, tenant.value, faults)
+    errors += [EtlError(line, context, reason) for line, (reason, context) in faults]
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         if out_lines:
             fh.write("\n".join(out_lines))

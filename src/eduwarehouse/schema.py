@@ -10,6 +10,7 @@ queries can filter a tenant's rows without string surgery.
 
 from __future__ import annotations
 
+import textwrap
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -141,6 +142,50 @@ class TableDef:
 
 RESERVED_ROLLUP_TEXT = "ALL"
 
+# How each storage column is produced from an upload row: _COPY passes the
+# field through, _QUALIFY prefixes it with the tenant key, _TENANT emits
+# the tenant key itself.
+_COPY, _QUALIFY, _TENANT = 0, 1, 2
+
+
+@lru_cache(maxsize=None)
+def _storage_plan(table: TableDef) -> tuple[tuple[int, int], ...]:
+    """(op, upload field index) per storage column of ``table``."""
+    upload_idx = {c: i for i, c in enumerate(table.upload_columns)}
+    ops: list[tuple[int, int]] = []
+    natural = table.attrs_of_kind(NATURAL_KEY)
+    for attr in table.attributes:
+        if attr.kind == TENANT_KEY:
+            ops.append((_TENANT, 0))
+        elif attr.kind == DIMENSION_KEY:
+            ops.append((_QUALIFY, upload_idx[natural[0].name]))
+        elif attr.kind == REFERENCE:
+            raw = attr.raw_name or ""
+            ops.append((_COPY, upload_idx[raw]))
+            ops.append((_QUALIFY, upload_idx[raw]))
+        else:
+            ops.append((_COPY, upload_idx[attr.name]))
+    return tuple(ops)
+
+
+def compile_kernel(source: str, name: str, bindings: dict):
+    """The function ``name`` that ``source`` defines, closed over ``bindings``.
+
+    For a row loop or row check generated once per plan or table, as
+    ``dataclasses`` generates ``__init__``.  The source holds only integer literals and fixed local
+    names, never a tenant, table, column or file name: every such value
+    reaches the function through ``bindings``.  The function keeps its
+    source as ``__source__``.
+    """
+    text = (f"def __make__({', '.join(bindings)}):\n"
+            + textwrap.indent(source, "    ") + f"    return {name}\n")
+    namespace: dict = {}
+    exec(text, {}, namespace)
+    function = namespace["__make__"](**bindings)
+    function.__source__ = source
+    return function
+
+
 # A failed row check: (reason, key context).  The key context is the row's
 # first non-empty natural-key or reference field, None for arity failures.
 RowFault = tuple[str, str | None]
@@ -154,29 +199,112 @@ class UploadRules(NamedTuple):
     code field holds the reserved roll-up text.  ``empty_key`` checks that
     no natural-key or reference field is empty.  Each returns None for a
     conforming row and a RowFault otherwise.
+
+    ``rows(lines, line_no, tenant, faults)`` is the split worker's loop:
+    it numbers ``lines`` on from ``line_no``, renders each conforming
+    line as ``tenant``'s storage row (``_storage_plan``), appends ``(line
+    number, RowFault)`` to ``faults`` for every other line, and returns
+    the rendered rows and the last line number.  A line ending in CR
+    loses it first.
     """
 
     shape: Callable[[list[str]], RowFault | None]
     empty_key: Callable[[list[str]], RowFault | None]
+    rows: Callable[[list[str], int, str, list], tuple[list[str], int]]
+
+
+# The kinds of row check, each on one upload field index (_ARITY: on the
+# field count, the index being the count expected).
+_ARITY, _INT, _DECIMAL, _RESERVED, _EMPTY = range(5)
+
+
+def _check_source(checks, first: int, on_fault: list[str]) -> list[str]:
+    """Lines that test the row ``f`` against ``checks`` in order.
+
+    At the first check that fails, the lines ``on_fault`` run, each
+    formatted with the RowFault's expression: ``reasons[j]`` of check
+    ``first + j`` and the row's ``context``, or ``arity_fault(f)``.
+    """
+    lines: list[str] = []
+    for j, (kind, i) in enumerate(checks, first):
+        fault = [s.format("arity_fault(f)" if kind == _ARITY else f"(reasons[{j}], context(f))")
+                 for s in on_fault]
+        if kind == _ARITY:
+            lines += [f"if len(f) != {i}:", *(f"    {s}" for s in fault)]
+        elif kind == _INT or kind == _DECIMAL:
+            parse = f"int(f[{i}])" if kind == _INT else f"n = float(f[{i}])"
+            lines += ["try:", f"    {parse}", "except ValueError:", *(f"    {s}" for s in fault)]
+            if kind == _DECIMAL:  # nan and inf
+                lines += ["if n - n != 0:", *(f"    {s}" for s in fault)]
+        elif kind == _RESERVED:
+            lines += [f"if f[{i}] == reserved:", *(f"    {s}" for s in fault)]
+        else:
+            lines += [f"if not f[{i}]:", *(f"    {s}" for s in fault)]
+    return lines
+
+
+def _rule_sources(shape: list, empty_key: list, plan) -> dict[str, str]:
+    """Source of ``shape``, ``empty_key`` and ``rows``, all three made from
+    the same check lists, so a conforming row is one for every caller.
+
+    ``rows`` runs the two lists' checks, in that order, on each line; a
+    line that passes them all is stored as one f-string of the storage
+    plan's fields and the separators between them, with no text of its
+    own.
+    """
+    def function(header: str, body: list[str]) -> str:
+        return header + "".join(f"    {s}\n" for s in body)
+
+    cell = {_COPY: "{f[%d]}", _QUALIFY: "{prefix}{f[%d]}", _TENANT: "{tenant}"}
+    row = "{sep}".join(cell[op] % i if op != _TENANT else cell[op] for op, i in plan)
+    loop = [
+        "prefix = tenant + key_sep",
+        "out = []",
+        "append = out.append",
+        "for line in lines:",
+        "    line_no += 1",
+        "    f = line[:-1].split(sep) if line.endswith(cr) else line.split(sep)",
+        *(f"    {s}" for s in _check_source(
+            [*shape, *empty_key], 0, ["faults.append((line_no, {}))", "continue"])),
+        f"    append(f'{row}')",
+        "return out, line_no",
+    ]
+    return {
+        "shape": function("def shape(f):\n",
+                          [*_check_source(shape, 0, ["return {}"]), "return None"]),
+        "empty_key": function("def empty_key(f):\n", [
+            *_check_source(empty_key, len(shape), ["return {}"]), "return None"]),
+        "rows": function("def rows(lines, line_no, tenant, faults):\n", loop),
+    }
 
 
 @lru_cache(maxsize=None)
 def upload_rules(table: TableDef) -> UploadRules:
-    """Compile the row rules of ``table``'s upload format, once per table."""
+    """Compile the row rules of ``table``'s upload format, once per table.
+
+    The rules are one ordered list of checks per function
+    (``_check_source``); ``shape``, ``empty_key`` and ``rows`` are
+    generated from those lists (``_rule_sources``), with field positions
+    and the field count as integer literals.  The fault reasons, the
+    separators, the reserved text and ``context`` are bound by
+    ``compile_kernel``.
+    """
     columns = table.upload_columns
     arity = len(columns)
     uploaded = [a for a in table.attributes if a.kind not in (TENANT_KEY, DIMENSION_KEY)]
-    numeric: list[tuple[int, bool, str]] = []
-    reserved: list[tuple[int, str]] = []
-    keys: list[tuple[int, str]] = []
+    numeric: list[tuple[tuple[int, int], str]] = []
+    reserved: list[tuple[tuple[int, int], str]] = []
+    keys: list[tuple[tuple[int, int], str]] = []
     for i, (attr, col) in enumerate(zip(uploaded, columns)):
         if attr.value_class != TEXT:
-            numeric.append((i, attr.value_class == INTEGER, col))
+            kind = _INT if attr.value_class == INTEGER else _DECIMAL
+            numeric.append(((kind, i), f"not-numeric:{col}"))
         elif attr.kind in (NATURAL_KEY, REFERENCE, CODE):
-            reserved.append((i, col))
+            reserved.append(((_RESERVED, i), f"reserved-value:{col}"))
         if attr.kind in (NATURAL_KEY, REFERENCE):
-            keys.append((i, col))
-    key_idxs = [i for i, _ in keys]
+            keys.append(((_EMPTY, i), f"empty-key:{col}"))
+    key_idxs = [i for (_, i), _ in keys]
+    shape = [((_ARITY, arity), ""), *numeric, *reserved]  # arity_fault gives its reason
 
     def context(fields: list[str]) -> str | None:
         for i in key_idxs:
@@ -184,28 +312,15 @@ def upload_rules(table: TableDef) -> UploadRules:
                 return fields[i]
         return None
 
-    def shape(fields: list[str]) -> RowFault | None:
-        if len(fields) != arity:
-            return f"arity: expected {arity} fields, found {len(fields)}", None
-        for i, is_int, col in numeric:
-            try:
-                parsed = int(fields[i]) if is_int else float(fields[i])
-            except ValueError:
-                return f"not-numeric:{col}", context(fields)
-            if parsed - parsed != 0.0:  # nan and inf; never true for an int
-                return f"not-numeric:{col}", context(fields)
-        for i, col in reserved:
-            if fields[i] == RESERVED_ROLLUP_TEXT:
-                return f"reserved-value:{col}", context(fields)
-        return None
+    def arity_fault(fields: list[str]) -> RowFault:
+        return f"arity: expected {arity} fields, found {len(fields)}", None
 
-    def empty_key(fields: list[str]) -> RowFault | None:
-        for i, col in keys:
-            if not fields[i]:
-                return f"empty-key:{col}", context(fields)
-        return None
-
-    return UploadRules(shape, empty_key)
+    sources = _rule_sources([c for c, _ in shape], [c for c, _ in keys], _storage_plan(table))
+    bindings = {"reasons": tuple(reason for _, reason in (*shape, *keys)), "context": context,
+                "arity_fault": arity_fault, "sep": ",", "cr": "\r",
+                "key_sep": KEY_SEPARATOR, "reserved": RESERVED_ROLLUP_TEXT}
+    return UploadRules(*(compile_kernel(sources[name], name, bindings)
+                         for name in ("shape", "empty_key", "rows")))
 
 
 @dataclass(frozen=True)

@@ -139,10 +139,26 @@ class _Handler(BaseHTTPRequestHandler):
                          "upload_limit": limit}
         return None
 
+    def _upload_refusal(self, ctx, params: dict) -> tuple[int, dict] | None:
+        """The answer that refuses an upload before its body is read, if any:
+        no session ``ctx`` (no valid token), or a missing or unknown
+        ``table``."""
+        if ctx is None:
+            return 401, {"error": "missing or expired session token"}
+        table = params.get("table")
+        if not table:
+            return 400, {"error": "query parameter table is required"}
+        if table not in self.svc.store.schema.tables:
+            return 400, {"error": f"unknown table {table!r}"}
+        return None
+
     def handle_expect_100(self) -> bool:
         # invite the body only when it will be read; otherwise do_POST
         # answers the refusal straight away (RFC 9110 §10.1.1)
-        if self._body_refusal() is None:
+        url = urlsplit(self.path)
+        if self._body_refusal() is None and not (
+                self.command == "POST" and url.path == "/upload"
+                and self._upload_refusal(self._context(), dict(parse_qsl(url.query)))):
             return super().handle_expect_100()
         return True
 
@@ -254,16 +270,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _post_upload(self, params: dict) -> None:
         ctx = self._context()
-        if ctx is None:
-            self._refuse_upload(401, {"error": "missing or expired session token"})
+        refusal = self._upload_refusal(ctx, params)
+        if refusal is not None:
+            self._refuse_upload(*refusal)
             return
-        table = params.get("table")
-        if not table:
-            self._refuse_upload(400, {"error": "query parameter table is required"})
-            return
-        if table not in self.svc.store.schema.tables:
-            self._refuse_upload(400, {"error": f"unknown table {table!r}"})
-            return
+        table = params["table"]
         raw = self._read_body(drain_if_too_large=True)
         if raw is None:
             return

@@ -975,6 +975,43 @@ def test_refresher_samples_every_batch_of_the_build_it_ran(
         assert named == expected
 
 
+def test_refresher_skips_a_cube_whose_inputs_are_unchanged(store, pipeline, tmp_path):
+    ingest_demo_fixture(pipeline, tmp_path)
+    specs = builtin_cube_specs().values()  # two of them have no facts at all
+    engine = CubeEngine(store)
+    refresher = CubeRefresher(engine, specs, interval=3600)
+    assert len(refresher.run_once()) == 3
+    def versions():
+        return {s.name: [v.batch_id for v in store.segments(s.table_name)] for s in specs}
+
+    before, samples = versions(), list(refresher.lag_samples)
+    assert refresher.run_once() == []
+    assert versions() == before
+    assert list(refresher.lag_samples) == samples
+    # a build asked for directly (eduwh build-cube) always builds
+    assert engine.build(SPEC).version > before[SPEC.name][-1]
+
+
+@pytest.mark.parametrize("change", ["dimension re-upload", "fact batch dropped",
+                                    "cube version dropped"])
+def test_refresher_rebuilds_a_cube_whose_inputs_changed(store, pipeline, tmp_path, change):
+    first = ingest_demo_fixture(pipeline, tmp_path)
+    ingest_text(pipeline, tmp_path, "StudentPerformance", REMARKED_TEXT)
+    refresher = CubeRefresher(CubeEngine(store), [SPEC], interval=3600)
+    refresher.run_once()
+    assert refresher.run_once() == []
+    time.sleep(0.02)  # file ctimes tick every few ms; let a new one differ
+    if change == "dimension re-upload":
+        ingest_text(pipeline, tmp_path, "Regtypes", DIM_UPLOADS["Regtypes"])
+    elif change == "fact batch dropped":
+        store.drop_batch("StudentPerformance", first.segment.batch_id)
+    else:
+        store.drop_batch(SPEC.table_name, store.segments(SPEC.table_name)[-1].batch_id)
+    [summary] = refresher.run_once()
+    assert store.segments(SPEC.table_name)[-1].batch_id == summary.version
+    assert refresher.run_once() == []
+
+
 def test_refresher_failure_keeps_previous_version(store, pipeline, tmp_path, monkeypatch):
     ingest_demo_fixture(pipeline, tmp_path)
     engine = CubeEngine(store)

@@ -161,6 +161,31 @@ def test_upload_refused_before_its_body_is_read_gets_its_answer(address, token, 
     assert got == status, raw
 
 
+@pytest.mark.parametrize("token, table, status", [
+    (False, "Regtypes", b"401"), (True, "Nope", b"400"), (True, None, b"400"),
+])
+def test_upload_refused_before_its_body_is_read_is_not_invited(address, token, table,
+                                                               status):
+    # a client that waits for 100 Continue sends its ~12 MB body once
+    # invited; an invited body the server then refuses unread breaks the send
+    body = b"regtype_code,regtype_name\n" + b"FT,Full time\n" * 900_000
+    path = "/upload" if table is None else f"/upload?table={table}"
+    auth = f"Authorization: Bearer {_token(address)}\r\n" if token else ""
+    head = (f"POST {path} HTTP/1.1\r\nHost: eduwh\r\n{auth}"
+            f"Content-Length: {len(body)}\r\nExpect: 100-continue\r\n\r\n")
+    with socket.create_connection(address, timeout=5) as sock:
+        sock.sendall(head.encode())
+        reply = sock.makefile("rb")
+        first = reply.readline()
+        if first == b"HTTP/1.1 100 Continue\r\n":
+            reply.readline()
+            sock.sendall(body)
+            first = reply.readline()
+        # the refusal is the first status line; the server then closes
+        assert first.startswith(b"HTTP/1.1 " + status + b" "), first
+        assert b"100 Continue" not in reply.read()
+
+
 def test_oversized_auth_body_is_not_drained(address):
     # /auth needs no session: a declared body over its limit is refused and
     # the connection closed at once, with none of the body read

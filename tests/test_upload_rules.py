@@ -14,6 +14,7 @@ from eduwarehouse.schema import (
     REFERENCE,
     TENANT_KEY,
     TEXT,
+    TenantKey,
     builtin_schema,
     upload_rules,
 )
@@ -92,3 +93,43 @@ def test_every_caller_reports_the_same_first_fault(table_name, store, tmp_path):
             assert shape is None, (fields, shape)
         else:
             assert shape is not None and shape[0] == expected, (fields, shape)
+
+
+def _stored_row(table, tenant, fields):
+    """The storage row of a conforming upload row: the tenant key, then
+    each attribute's field, a dimension key or a reference also qualified."""
+    by_column = dict(zip(table.upload_columns, fields))
+    natural = table.attrs_of_kind(NATURAL_KEY)
+    cells = []
+    for attr in table.attributes:
+        if attr.kind == TENANT_KEY:
+            cells.append(tenant)
+        elif attr.kind == DIMENSION_KEY:
+            cells.append(f"{tenant}_{by_column[natural[0].name]}")
+        elif attr.kind == REFERENCE:
+            cells += [by_column[attr.raw_name], f"{tenant}_{by_column[attr.raw_name]}"]
+        else:
+            cells.append(by_column[attr.name])
+    return ",".join(cells)
+
+
+@pytest.mark.parametrize("end", ["", "\r"], ids=["LF", "CRLF"])
+@pytest.mark.parametrize("table_name", sorted(SCHEMA.tables))
+def test_generated_loop_agrees_with_the_rules_row_by_row(table_name, end):
+    table = SCHEMA.tables[table_name]
+    tenant = TenantKey("U%s%d%%").value
+    rules = upload_rules(table)
+    cases = _fault_rows(table)
+    faults = []
+    rows, last = rules.rows([",".join(f) + end for f, _ in cases], 1, tenant, faults)
+
+    expected_rows, expected_faults = [], []
+    for line, (fields, _) in enumerate(cases, start=2):
+        bad = rules.shape(fields) or rules.empty_key(fields)
+        if bad is None:
+            expected_rows.append(_stored_row(table, tenant, fields))
+        else:
+            expected_faults.append((line, bad))
+    assert rows == expected_rows
+    assert faults == expected_faults  # (line, (reason, key context)) each
+    assert last == len(cases) + 1
